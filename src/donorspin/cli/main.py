@@ -39,7 +39,8 @@ from ..spectra import (
     sx_matrix_element,
     synthesize_spectrum,
 )
-from ..spin import SpinSystem, concurrence, diagonalize
+from ..doublet import level_table
+from ..spin import SpinSystem
 from .config import ConfigError, load_config, render_config
 from .manifest import build_manifest, json_ready, write_manifest
 
@@ -105,21 +106,22 @@ def cmd_levels(config, args) -> int:
     started = time.monotonic()
     system = _system_from(config)
     section = config["levels"]
+    if section["b_steps"] < 1:
+        raise ConfigError("levels.b_steps: must be at least 1")
     grid = np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
+    table = level_table(system, grid)
+    # a state a|+1/2, x> + b|-1/2, y> has concurrence 2|ab| = |sin theta_m|
+    concurrences = 2.0 * np.abs(table.up * table.down)
     labels = range(1, system.dimension + 1)
     header = (
         ["B_mT"]
         + [f"E{label}" for label in labels]
         + [f"C{label}" for label in labels]
     )
-    rows = []
-    for b_field in grid:
-        eigensystem = diagonalize(system, float(b_field))
-        rows.append(
-            [float(b_field) * 1e3]
-            + [eigensystem.energy(label) for label in labels]
-            + [concurrence(eigensystem, label) for label in labels]
-        )
+    rows = (
+        [float(b_field) * 1e3, *energies, *conc]
+        for b_field, energies, conc in zip(grid, table.energies, concurrences)
+    )
     path = _out_path(config, "levels.csv")
     _write_csv(path, header, rows)
     _finish("levels", config, started, [path])
@@ -130,6 +132,8 @@ def cmd_resonances(config, args) -> int:
     started = time.monotonic()
     system = _system_from(config)
     section = config["resonances"]
+    if not section["grid_step_mt"] > 0:
+        raise ConfigError("resonances.grid_step_mt: must be positive")
     transitions = find_all_resonances(
         system,
         section["frequency_mhz"],
@@ -156,6 +160,8 @@ def cmd_freqmap(config, args) -> int:
     started = time.monotonic()
     system = _system_from(config)
     section = config["freqmap"]
+    if section["b_steps"] < 1:
+        raise ConfigError("freqmap.b_steps: must be at least 1")
     grid = np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
     table = frequency_field_map(system, grid, intensity_floor=section["intensity_floor"])
     path = _out_path(config, "freqmap.csv")
@@ -178,13 +184,18 @@ def cmd_rabi(config, args) -> int:
     section = config["rabi"]
     upper, lower = section["label_upper"], section["label_lower"]
     field = section["field_t"]
+    in_range = all(1 <= label <= system.dimension for label in (upper, lower))
+    sx = sx_matrix_element(system, upper, lower, field) if in_range else 0.0
+    if sx == 0.0:
+        raise ConfigError(f"rabi.label_upper, rabi.label_lower: {upper} and {lower} must be "
+                          f"labels 1..{system.dimension} one m apart for the drive to couple them")
     rabi_mhz = rabi_frequency(system, upper, lower, field, section["f1_mhz"])
     payload = {
         "label_upper": upper,
         "label_lower": lower,
         "field_t": field,
         "f1_mhz": section["f1_mhz"],
-        "sx_element": sx_matrix_element(system, upper, lower, field),
+        "sx_element": sx,
         "rabi_mhz": rabi_mhz,
         "pi_time_ns": 1e3 / (2.0 * rabi_mhz),
     }

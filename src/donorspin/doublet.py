@@ -19,18 +19,24 @@ the eigenvectors
     |-, m> = cos(theta/2) |-1/2, m+1/2> - sin(theta/2) |+1/2, m-1/2>.
 
 The stretched states m = +-(I + 1/2) are field-independent product
-states with E = +-f0/2 -+ I f0 delta + I A / 2.
+states with E = +-f0/2 -+ I f0 delta + I A / 2. They are the same
+formulas with Omega = 0, theta = 0 and beta taken as the signed Delta.
+
+`level_table` evaluates all of this on an array of fields at once; it is
+the level engine behind `spin.diagonalize` and the spectra.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import CONSTANTS
-from .spin import SpinSystem
+
+if TYPE_CHECKING:
+    from .spin import SpinSystem
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,6 +51,88 @@ class DoubletParams:
     theta: float            # mixing angle, in (0, pi)
 
 
+def label_structure(sys: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(m, branch) of labels 1..D, the inverse of `SpinSystem.label_of`."""
+    top = sys.nuclear_spin + 0.5
+    labels = np.arange(1, sys.dimension + 1)
+    lower = labels <= 2 * top
+    return np.where(lower, top - labels, labels - 3 * top), np.where(lower, -1, 1)
+
+
+@dataclasses.dataclass(frozen=True)
+class LevelTable:
+    """Closed-form levels on an array of fields.
+
+    Per-m arrays run over `sys.doublet_ms()` (m descending). Per-label
+    arrays hold label k in column k - 1: the energy, its field slope and
+    the state's amplitudes on |+1/2, m-1/2> (up) and |-1/2, m+1/2> (down).
+    """
+
+    system: SpinSystem
+    fields: np.ndarray      # (F,) tesla
+    delta: np.ndarray       # (F, K) Delta_m, MHz
+    omega: np.ndarray       # (K,) Omega_m, 0 on the stretched rows
+    eps: np.ndarray         # (F, K) eps_m
+    beta: np.ndarray        # (F, K) beta_m, the signed Delta on the stretched rows
+    theta: np.ndarray       # (F, K) theta_m, 0 on the stretched rows
+    energies: np.ndarray    # (F, D) MHz
+    slopes: np.ndarray      # (F, D) dE/dB, MHz per tesla
+    up: np.ndarray          # (F, D)
+    down: np.ndarray        # (F, D)
+
+    def sx_element(self, label_i, label_j) -> np.ndarray:
+        """|<i| Sx x 1 |j>| per field; exactly 0 unless |m_i - m_j| = 1.
+
+        Sx x 1 links only |-1/2, m+1/2> of doublet m to |+1/2, m+1/2> of
+        doublet m + 1, with matrix element 1/2. Labels may be arrays.
+        """
+        m, _ = label_structure(self.system)
+        i, j = np.asarray(label_i) - 1, np.asarray(label_j) - 1
+        above = m[i] > m[j]
+        hi, lo = np.where(above, i, j), np.where(above, j, i)
+        element = 0.5 * np.abs(self.up[:, hi] * self.down[:, lo])
+        return np.where(np.abs(m[i] - m[j]) == 1, element, 0.0)
+
+    def states(self) -> np.ndarray:
+        """(F, D, D) real eigenvectors in the product basis, column per label."""
+        dim = self.system.dimension
+        m, _ = label_structure(self.system)
+        # product index of |+1/2, m-1/2>; |-1/2, m+1/2> sits D/2 - 1 later.
+        # A stretched state has amplitude 0 on the slot outside its m.
+        up_index = np.rint(self.system.nuclear_spin + 0.5 - m).astype(int)
+        out = np.zeros((len(self.fields), dim, dim))
+        out[:, up_index, np.arange(dim)] = self.up
+        out[:, up_index + dim // 2 - 1, np.arange(dim)] = self.down
+        return out
+
+
+def level_table(sys: SpinSystem, b_fields) -> LevelTable:
+    """Energies, mixing angles, slopes and states at every field (tesla)."""
+    fields = np.atleast_1d(np.asarray(b_fields, dtype=float))
+    a, nz = sys.hyperfine_mhz, sys.nuclear_zeeman_delta
+    top = sys.nuclear_spin + 0.5
+    ms = sys.doublet_ms()
+    f0 = sys.zeeman_mhz(fields)[:, None]
+    delta = 0.5 * (ms * a + f0 * (1.0 + nz))
+    omega = 0.5 * a * np.sqrt(top * top - ms * ms)
+    eps = 0.25 * a + ms * nz * f0
+    doublet = omega > 0
+    beta = np.where(doublet, np.hypot(delta, omega), delta)
+    theta = np.where(doublet, np.arctan2(omega, delta), 0.0)
+
+    m, branch = label_structure(sys)
+    k = np.rint(top - m).astype(int)
+    cos_half, sin_half = np.cos(0.5 * theta[:, k]), np.sin(0.5 * theta[:, k])
+    upper = branch > 0
+    # dbeta/dDelta = cos(theta), which is 1 on the stretched rows
+    slopes = sys.zeeman_mhz(1.0) * (branch * np.cos(theta[:, k]) * 0.5 * (1.0 + nz) - m * nz)
+    return LevelTable(
+        system=sys, fields=fields, delta=delta, omega=omega, eps=eps, beta=beta, theta=theta,
+        energies=branch * beta[:, k] - eps[:, k], slopes=slopes,
+        up=np.where(upper, cos_half, -sin_half), down=np.where(upper, sin_half, cos_half),
+    )
+
+
 def _check_doublet_m(sys: SpinSystem, m: float) -> float:
     top = sys.nuclear_spin + 0.5
     if abs(m) > top - 1 + 1e-9:
@@ -57,52 +145,33 @@ def _check_doublet_m(sys: SpinSystem, m: float) -> float:
 def doublet_params(sys: SpinSystem, m: float, b_field: float) -> DoubletParams:
     """Doublet parameters for projection m at field b_field (tesla)."""
     m = _check_doublet_m(sys, m)
-    a = sys.hyperfine_mhz
-    f0 = sys.zeeman_mhz(b_field)
-    top = sys.nuclear_spin + 0.5
-    delta_detuning = 0.5 * (m * a + f0 * (1.0 + sys.nuclear_zeeman_delta))
-    omega = 0.5 * a * math.sqrt(top * top - m * m)
-    eps = 0.25 * a + m * sys.nuclear_zeeman_delta * f0
-    beta = math.hypot(delta_detuning, omega)
-    theta = math.atan2(omega, delta_detuning)
+    table, k = level_table(sys, b_field), int(round(sys.nuclear_spin + 0.5 - m))
     return DoubletParams(
-        m=m, delta_detuning=delta_detuning, omega=omega, eps=eps, beta=beta, theta=theta
+        m=m, delta_detuning=float(table.delta[0, k]), omega=float(table.omega[k]),
+        eps=float(table.eps[0, k]), beta=float(table.beta[0, k]), theta=float(table.theta[0, k]),
     )
 
 
 def doublet_energies(sys: SpinSystem, m: float, b_field: float) -> tuple[float, float]:
     """(E-, E+) of the m doublet in MHz."""
-    p = doublet_params(sys, m, b_field)
-    return (-p.beta - p.eps, p.beta - p.eps)
+    _check_doublet_m(sys, m)
+    energies = level_table(sys, b_field).energies[0]
+    return float(energies[sys.label_of(m, -1) - 1]), float(energies[sys.label_of(m, +1) - 1])
 
 
 def doublet_state(sys: SpinSystem, m: float, b_field: float, branch: int) -> np.ndarray:
     """Analytic eigenvector of (m, branch) embedded in the product basis."""
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    p = doublet_params(sys, m, b_field)
-    ni = int(round(2 * sys.nuclear_spin)) + 1
-    i_val = sys.nuclear_spin
-    up = int(round(i_val - (m - 0.5)))          # index of |+1/2, m-1/2>
-    dn = ni + int(round(i_val - (m + 0.5)))     # index of |-1/2, m+1/2>
-    vec = np.zeros(2 * ni)
-    c, s = math.cos(p.theta / 2), math.sin(p.theta / 2)
-    if branch == +1:
-        vec[up], vec[dn] = c, s
-    else:
-        vec[up], vec[dn] = -s, c
-    return vec
+    _check_doublet_m(sys, m)
+    return level_table(sys, b_field).states()[0, :, sys.label_of(m, branch) - 1]
 
 
 def unmixed_energies(sys: SpinSystem, b_field: float) -> tuple[float, float]:
     """(E of m = -(I+1/2), E of m = +(I+1/2)) stretched states, MHz."""
-    a = sys.hyperfine_mhz
-    i_val = sys.nuclear_spin
-    f0 = sys.zeeman_mhz(b_field)
-    common = 0.5 * i_val * a
-    lower = -0.5 * f0 + i_val * sys.nuclear_zeeman_delta * f0 + common
-    upper = +0.5 * f0 - i_val * sys.nuclear_zeeman_delta * f0 + common
-    return lower, upper
+    top = sys.nuclear_spin + 0.5
+    energies = level_table(sys, b_field).energies[0]
+    return float(energies[sys.label_of(-top, -1) - 1]), float(energies[sys.label_of(top, +1) - 1])
 
 
 def bell_field(sys: SpinSystem, m: float) -> float:

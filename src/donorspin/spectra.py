@@ -1,12 +1,17 @@
 """Magnetic-resonance observables: resonance fields, intensities, spectra.
 
-Allowed transitions connect adjacent doublets (the total projection m
-changes by +-1); the drive couples through Sx x 1 only, so transition
-intensities are |<i| Sx x 1 |j>|^2 with maximum 1/4. Resonance fields
-solve |E_i(B) - E_j(B)| = f for a fixed excitation frequency f; the
-solver scans a field grid, brackets sign changes, probes turning points
-of the frequency curve so near-tangent root pairs are not missed, and
-polishes every root by bisection.
+Allowed transitions connect adjacent doublets (m changes by +-1); the
+drive couples through Sx x 1 only, so intensities are |<i| Sx x 1 |j>|^2
+with maximum 1/4. Levels, matrix elements and slopes all come from the
+closed-form `level_table`.
+
+Resonance fields solve |E_i(B) - E_j(B)| = f directly. In y = f0/A each
+level is E = s (A/2) r - eps with r^2 = p^2 y^2 + 2 m p y + (I + 1/2)^2
+and p = 1 + delta (r is the signed 2 Delta / A of a stretched state), so
+E_i - E_j = +-f reads s_i r_i - s_j r_j = L(y), L linear in y. Squaring
+twice gives (r_i^2 - r_j^2 - L^2)^2 = 4 L^2 r_j^2, of degree at most 4
+in y because r_i^2 - r_j^2 is linear. Its real roots in range that also
+solve the unsquared equation are polished by one Newton step.
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ import dataclasses
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .spin import DonorEigensystem, SpinSystem, diagonalize, spin_operators
+from .doublet import label_structure, level_table
+from .spin import SpinSystem
 
-SCAN_STEP_T = 0.5e-3        # resonance-search grid pitch
-FIELD_TOL_T = 1e-6          # bisection stops at this bracket width
-DFDB_STEP_T = 0.1e-3        # central-difference step for df/dB
 INTENSITY_FLOOR = 1e-4      # default cut on |<Sx>|^2 (scale: max is 1/4)
+ROOT_TOL_MHZ = 1e-6         # a polynomial root must solve E_i - E_j = +-f this well
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,17 +61,29 @@ class SpectrumCurve:
         self.signal.setflags(write=False)
 
 
+def _check_labels(sys: SpinSystem, *labels: int) -> None:
+    for label in labels:
+        if not 1 <= label <= sys.dimension:
+            raise ValueError(f"label must be in 1..{sys.dimension}, got {label}")
+
+
+def _pair_at(sys: SpinSystem, label_i: int, label_j: int, b_field: float):
+    """(E_i - E_j, its field slope in MHz/T, |<i| Sx x 1 |j>|) at one field."""
+    _check_labels(sys, label_i, label_j)
+    table = level_table(sys, b_field)
+    i, j = label_i - 1, label_j - 1
+    sx = table.sx_element(label_i, label_j)[0]
+    return table.energies[0, i] - table.energies[0, j], table.slopes[0, i] - table.slopes[0, j], sx
+
+
 def transition_frequency(sys: SpinSystem, label_i: int, label_j: int, b_field: float) -> float:
     """|E_i - E_j| in MHz at one field."""
-    es = diagonalize(sys, b_field)
-    return abs(es.energy(label_i) - es.energy(label_j))
+    return abs(float(_pair_at(sys, label_i, label_j, b_field)[0]))
 
 
 def sx_matrix_element(sys: SpinSystem, label_i: int, label_j: int, b_field: float) -> float:
     """|<i| Sx x 1 |j>| at one field; exactly 0 unless |m_i - m_j| = 1."""
-    es = diagonalize(sys, b_field)
-    ops = spin_operators(sys)
-    return abs(complex(es.state(label_i).conj() @ (ops.sx @ es.state(label_j))))
+    return float(_pair_at(sys, label_i, label_j, b_field)[2])
 
 
 def rabi_frequency(sys: SpinSystem, label_i: int, label_j: int, b_field: float, f1_mhz: float) -> float:
@@ -79,77 +96,59 @@ def rabi_frequency(sys: SpinSystem, label_i: int, label_j: int, b_field: float, 
 
 
 def df_db(sys: SpinSystem, label_i: int, label_j: int, b_field: float) -> float:
-    """Field sensitivity d|E_i - E_j|/dB in MHz/mT (central difference)."""
-    h = DFDB_STEP_T
-    lo = max(b_field - h, 0.0)
-    hi = b_field + h
-    f_hi = transition_frequency(sys, label_i, label_j, hi)
-    f_lo = transition_frequency(sys, label_i, label_j, lo)
-    return (f_hi - f_lo) / ((hi - lo) * 1e3)
+    """Field sensitivity d|E_i - E_j|/dB in MHz/mT (analytic)."""
+    gap, slope, _ = _pair_at(sys, label_i, label_j, b_field)
+    return float(math.copysign(1.0, gap) * slope * 1e-3)
 
 
-def _bisect(func, lo: float, hi: float, f_lo: float) -> float:
-    """Root of func inside [lo, hi] given func(lo) = f_lo with a sign change."""
-    while hi - lo > FIELD_TOL_T:
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0) != (f_mid < 0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+def _adjacent_pairs(sys: SpinSystem) -> list[tuple[int, int]]:
+    """Label pairs whose doublets differ by exactly one unit of m."""
+    m, _ = label_structure(sys)
+    rows, cols = np.nonzero(np.abs(m[:, None] - m[None, :]) == 1.0)
+    return [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols) if i < j]
 
 
-def _refine_extremum(func, lo: float, hi: float, maximize: bool):
-    """Ternary search for an interior extremum of func on [lo, hi]."""
-    sign = 1.0 if maximize else -1.0
-    while hi - lo > FIELD_TOL_T:
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if sign * func(m1) < sign * func(m2):
-            lo = m1
-        else:
-            hi = m2
-    mid = 0.5 * (lo + hi)
-    return mid, func(mid)
+def _resonance_roots(sys: SpinSystem, pairs: list[tuple[int, int]], frequency: float,
+                     b_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """(pair index, field) of every root of |E_i - E_j| = frequency in b_range."""
+    if frequency <= 0:
+        raise ValueError("target frequency must be positive")
+    lo, hi = b_range
+    if not 0 <= lo < hi:
+        raise ValueError(f"invalid field range {b_range}")
+    m, _ = label_structure(sys)
+    a, nz = sys.hyperfine_mhz, sys.nuclear_zeeman_delta
+    p, top = 1.0 + nz, sys.nuclear_spin + 0.5
+    tesla_per_y = a / sys.zeeman_mhz(1.0)
+    found = []
+    for k, (label_i, label_j) in enumerate(pairs):
+        dm = m[label_i - 1] - m[label_j - 1]
+        rj2 = [top * top, 2.0 * m[label_j - 1] * p, p * p]
+        for target in (frequency, -frequency):
+            ell2 = npoly.polypow([2.0 * target / a, 2.0 * dm * nz], 2)
+            lhs = npoly.polysub([0.0, 2.0 * p * dm], ell2)
+            y = npoly.polyroots(npoly.polysub(npoly.polypow(lhs, 2), 4.0 * npoly.polymul(ell2, rj2)))
+            # one of each conjugate pair: a tangency within rounding
+            # shows up as a pair with a tiny imaginary part
+            b = y[(y.imag >= 0) & (y.imag <= 1e-6 * (1.0 + np.abs(y.real)))].real * tesla_per_y
+            found += [(k, target, root) for root in b[(b >= lo) & (b <= hi)]]
+    index, targets, fields = np.array(found, dtype=float).reshape(-1, 3).T
+    index = index.astype(int)
+    i, j = (np.array(pairs, dtype=int).reshape(-1, 2)[index] - 1).T
+    rows = np.arange(len(index))
 
+    def residual(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        table = level_table(sys, b)
+        return (table.energies[rows, i] - table.energies[rows, j] - targets,
+                table.slopes[rows, i] - table.slopes[rows, j])
 
-def _grid_roots(func, grid: np.ndarray, values: np.ndarray) -> list[float]:
-    """All roots of func on the grid: sign-change brackets plus extremum probes."""
-    roots = []
-    for k in range(len(grid) - 1):
-        ga, gb = values[k], values[k + 1]
-        if ga == 0.0:
-            roots.append(float(grid[k]))
-            continue
-        if (ga < 0) != (gb < 0):
-            roots.append(_bisect(func, float(grid[k]), float(grid[k + 1]), ga))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-
-    # probe turning points: a local extremum close to zero hides a root
-    # pair that the plain scan cannot bracket
-    slopes = np.diff(values)
-    for k in range(len(slopes) - 1):
-        if slopes[k] == 0.0 or (slopes[k] < 0) == (slopes[k + 1] < 0):
-            continue
-        lo, hi = float(grid[k]), float(grid[k + 2])
-        maximize = slopes[k] > 0
-        bx, gx = _refine_extremum(func, lo, hi, maximize)
-        if abs(gx) <= 1e-9:
-            roots.append(bx)
-        elif (values[k] < 0) != (gx < 0):
-            roots.append(_bisect(func, lo, bx, values[k]))
-            roots.append(_bisect(func, bx, hi, gx))
-
-    roots.sort()
-    unique = []
-    for r in roots:
-        if not unique or r - unique[-1] > 2 * FIELD_TOL_T:
-            unique.append(r)
-    return unique
+    miss, slope = residual(fields)
+    held = np.abs(miss) <= ROOT_TOL_MHZ
+    step = np.divide(miss, slope, out=np.zeros_like(miss), where=slope != 0.0)
+    stepped = np.clip(fields - step, lo, hi)
+    # a tangency has no usable slope: keep the step only where it helps
+    fields = np.where(np.abs(residual(stepped)[0]) < np.abs(miss), stepped, fields)
+    return index[held], fields[held]
 
 
 def resonance_fields(
@@ -161,54 +160,12 @@ def resonance_fields(
 ) -> list[float]:
     """All fields in b_range (tesla) where |E_i - E_j| equals frequency.
 
-    Fields are refined to within FIELD_TOL_T; an empty list means the
-    transition never reaches the requested frequency in range.
+    An empty list means the transition never reaches the requested
+    frequency in range.
     """
-    if frequency <= 0:
-        raise ValueError("target frequency must be positive")
-    lo, hi = b_range
-    if not 0 <= lo < hi:
-        raise ValueError(f"invalid field range {b_range}")
-    n = int(math.ceil((hi - lo) / SCAN_STEP_T)) + 1
-    grid = np.linspace(lo, hi, n)
-
-    def g(b: float) -> float:
-        return transition_frequency(sys, label_i, label_j, b) - frequency
-
-    values = np.array([g(b) for b in grid])
-    return _grid_roots(g, grid, values)
-
-
-def _adjacent_pairs(sys: SpinSystem) -> list[tuple[int, int]]:
-    """Label pairs whose doublets differ by exactly one unit of m."""
-    es = diagonalize(sys, 1e-4)  # labels and m are field-independent
-    dim = sys.dimension
-    pairs = []
-    for i in range(1, dim + 1):
-        m_i, _ = es.m_branch(i)
-        for j in range(i + 1, dim + 1):
-            m_j, _ = es.m_branch(j)
-            if abs(m_i - m_j) == 1.0:
-                pairs.append((i, j))
-    return pairs
-
-
-def _transition_at(sys: SpinSystem, label_i: int, label_j: int, b_root: float, frequency: float) -> Transition:
-    es = diagonalize(sys, b_root)
-    ops = spin_operators(sys)
-    upper, lower = label_i, label_j
-    if es.energy(upper) < es.energy(lower):
-        upper, lower = lower, upper
-    sx = abs(complex(es.state(upper).conj() @ (ops.sx @ es.state(lower))))
-    return Transition(
-        label_upper=upper,
-        label_lower=lower,
-        field_b=b_root,
-        frequency=frequency,
-        sx_element=sx,
-        intensity=sx * sx,
-        dfdb_mhz_per_mt=df_db(sys, upper, lower, b_root),
-    )
+    _check_labels(sys, label_i, label_j)
+    _, fields = _resonance_roots(sys, [(label_i, label_j)], frequency, b_range)
+    return sorted(float(b) for b in fields)
 
 
 def find_all_resonances(
@@ -219,30 +176,25 @@ def find_all_resonances(
 ) -> list[Transition]:
     """Every resonance of every allowed pair at one excitation frequency.
 
-    Scans all adjacent-doublet label pairs over b_range, keeps roots whose
-    intensity exceeds intensity_floor, and returns transitions sorted by
-    field. The energy table over the scan grid is shared between pairs.
+    Solves every adjacent-doublet label pair over b_range, keeps roots
+    whose intensity exceeds intensity_floor, and returns transitions
+    sorted by field.
     """
-    if frequency <= 0:
-        raise ValueError("target frequency must be positive")
-    lo, hi = b_range
-    if not 0 <= lo < hi:
-        raise ValueError(f"invalid field range {b_range}")
-    n = int(math.ceil((hi - lo) / SCAN_STEP_T)) + 1
-    grid = np.linspace(lo, hi, n)
-    table = np.array([diagonalize(sys, b).energies for b in grid])
-
+    pairs = _adjacent_pairs(sys)
+    index, fields = _resonance_roots(sys, pairs, frequency, b_range)
+    table = level_table(sys, fields)
     found = []
-    for label_i, label_j in _adjacent_pairs(sys):
-        values = np.abs(table[:, label_i - 1] - table[:, label_j - 1]) - frequency
-
-        def g(b: float, li=label_i, lj=label_j) -> float:
-            return transition_frequency(sys, li, lj, b) - frequency
-
-        for root in _grid_roots(g, grid, values):
-            tr = _transition_at(sys, label_i, label_j, root, frequency)
-            if tr.intensity > intensity_floor:
-                found.append(tr)
+    for row, k in enumerate(index):
+        upper, lower = pairs[k]
+        if table.energies[row, upper - 1] < table.energies[row, lower - 1]:
+            upper, lower = lower, upper
+        sx = float(table.sx_element(upper, lower)[row])
+        slope = table.slopes[row, upper - 1] - table.slopes[row, lower - 1]
+        if sx * sx > intensity_floor:
+            found.append(Transition(
+                label_upper=upper, label_lower=lower, field_b=float(fields[row]),
+                frequency=frequency, sx_element=sx, intensity=sx * sx,
+                dfdb_mhz_per_mt=float(slope * 1e-3)))
     found.sort(key=lambda t: t.field_b)
     return found
 
@@ -298,23 +250,16 @@ def frequency_field_map(
     (frequency numerically zero, e.g. within a zero-field multiplet) are
     not transitions and are dropped.
     """
-    pairs = _adjacent_pairs(sys)
-    ops = spin_operators(sys)
-    rows = []
-    for b in np.asarray(field_grid, dtype=float):
-        es = diagonalize(sys, float(b))
-        sx_all = es.states.conj().T @ ops.sx @ es.states
-        for label_i, label_j in pairs:
-            freq = abs(es.energy(label_i) - es.energy(label_j))
-            if freq <= 1e-9:
-                continue
-            intensity = abs(sx_all[label_i - 1, label_j - 1]) ** 2
-            if intensity <= intensity_floor:
-                continue
-            upper, lower = label_i, label_j
-            if es.energy(upper) < es.energy(lower):
-                upper, lower = lower, upper
-            rows.append((float(b), freq, intensity, upper, lower))
-    out = np.array(rows, dtype=_MAP_DTYPE)
+    i, j = np.array(_adjacent_pairs(sys)).T
+    table = level_table(sys, field_grid)
+    gap = table.energies[:, i - 1] - table.energies[:, j - 1]
+    intensity = table.sx_element(i, j) ** 2
+    keep = (np.abs(gap) > 1e-9) & (intensity > intensity_floor)
+    out = np.empty(int(keep.sum()), dtype=_MAP_DTYPE)
+    out["field_b"] = np.broadcast_to(table.fields[:, None], gap.shape)[keep]
+    out["freq_mhz"] = np.abs(gap)[keep]
+    out["intensity"] = intensity[keep]
+    out["label_upper"] = np.where(gap < 0, j, i)[keep]
+    out["label_lower"] = np.where(gap < 0, i, j)[keep]
     out.setflags(write=False)
     return out

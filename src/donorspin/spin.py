@@ -11,8 +11,9 @@ through the ratio delta of nuclear to electronic Zeeman frequencies.
 Total spin projection m = m_s + m_I is conserved, so the Hamiltonian is
 block diagonal in m: 2x2 blocks for |m| <= I - 1/2 (the doublets) and
 1x1 blocks for m = +/-(I + 1/2) (the unmixed stretched states).
-Diagonalization works block by block, which keeps eigenvectors inside
-their exact m sector even at crossings and at B = 0.
+`diagonalize` takes each block's eigenpairs in closed form from
+`doublet.level_table`, which keeps eigenvectors inside their exact m
+sector even at crossings and at B = 0.
 
 States carry adiabatic labels 1..D fixed by the high-field ordering:
 lower branch (-) of doublet m gets label (I + 1/2) - m, upper branch (+)
@@ -35,6 +36,7 @@ from .constants import (
     BI_NUCLEAR_ZEEMAN_DELTA,
     CONSTANTS,
 )
+from .doublet import label_structure, level_table
 
 
 def _check_spin(j: float) -> float:
@@ -164,7 +166,7 @@ def spin_operators(sys: SpinSystem) -> SpinOperators:
 
 
 def build_hamiltonian(sys: SpinSystem, b_field: float) -> np.ndarray:
-    """Hamiltonian matrix (MHz) at field b_field (tesla), shape (D, D)."""
+    """Dense Hamiltonian (MHz) at b_field (tesla), shape (D, D): the test oracle."""
     ops = spin_operators(sys)
     f0 = sys.zeeman_mhz(b_field)
     h = f0 * ops.sz - f0 * sys.nuclear_zeeman_delta * ops.iz + sys.hyperfine_mhz * ops.s_dot_i
@@ -207,65 +209,21 @@ class DonorEigensystem:
             raise ValueError(f"label must be in 1..{self.system.dimension}, got {label}")
 
 
-def _m_block_indices(sys: SpinSystem) -> list[tuple[float, list[int]]]:
-    """Product-basis indices per m block; 2-dim blocks list m_s=+1/2 first."""
-    ni = int(round(2 * sys.nuclear_spin)) + 1
-    i_val = sys.nuclear_spin
-    blocks = []
-    for m in sys.doublet_ms():
-        idx = []
-        for i_s, m_s in ((0, 0.5), (1, -0.5)):
-            m_i = m - m_s
-            if abs(m_i) <= i_val + 1e-9:
-                i_i = int(round(i_val - m_i))
-                idx.append(i_s * ni + i_i)
-        blocks.append((float(m), idx))
-    return blocks
-
-
 def diagonalize(sys: SpinSystem, b_field: float) -> DonorEigensystem:
     """Eigendecomposition at one field, labelled adiabatically.
 
-    Works per m block (m is conserved), so labels stay consistent through
-    level crossings; within a block the upper-energy state is the +
-    branch. Columns are orthonormal with residual |Hv - Ev| at solver
-    precision.
+    Uses the closed-form doublets, so labels stay consistent through
+    level crossings; within a doublet the upper-energy state is the +
+    branch. Columns are orthonormal, real-valued and exact in their m sector.
     """
-    h = build_hamiltonian(sys, b_field)
-    dim = sys.dimension
-    energies = np.empty(dim)
-    states = np.zeros((dim, dim), dtype=complex)
-    doublet_m = np.empty(dim)
-    branches = np.empty(dim, dtype=int)
-
-    for m, idx in _m_block_indices(sys):
-        sub = h[np.ix_(idx, idx)]
-        if len(idx) == 1:
-            branch = -1 if m < 0 else +1
-            label = sys.label_of(m, branch)
-            energies[label - 1] = sub[0, 0].real
-            states[idx[0], label - 1] = 1.0
-            doublet_m[label - 1] = m
-            branches[label - 1] = branch
-            continue
-        vals, vecs = np.linalg.eigh(sub)
-        for pos, branch in ((0, -1), (1, +1)):
-            label = sys.label_of(m, branch)
-            energies[label - 1] = vals[pos]
-            vec = vecs[:, pos]
-            # fix the arbitrary sign: largest-magnitude component positive
-            lead = np.argmax(np.abs(vec))
-            if vec[lead].real < 0:
-                vec = -vec
-            states[np.asarray(idx), label - 1] = vec
-            doublet_m[label - 1] = m
-            branches[label - 1] = branch
+    table = level_table(sys, b_field)
+    doublet_m, branches = label_structure(sys)
     return DonorEigensystem(
         system=sys,
         field_b=b_field,
-        energies=energies,
-        states=states,
-        doublet_m=doublet_m,
+        energies=table.energies[0],
+        states=table.states()[0].astype(complex),
+        doublet_m=doublet_m.astype(float),
         branches=branches,
     )
 

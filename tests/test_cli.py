@@ -264,3 +264,29 @@ def test_levels_runs_deterministic(tmp_path):
     for sub in ("a", "b"):
         assert run_cli("levels", "--config", cfg, "--out", str(tmp_path / sub)) == 0
     assert (tmp_path / "a" / "levels.csv").read_bytes() == (tmp_path / "b" / "levels.csv").read_bytes()
+
+
+def test_rabi_labels_not_one_m_apart_is_usage_error(tmp_path, capsys):
+    # 12 and 10 are two units of m apart: Sx does not couple them
+    cfg = write_config(tmp_path, "[rabi]\nlabel_upper = 12\nlabel_lower = 10\n")
+    out = tmp_path / "out"
+    assert run_cli("rabi", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "rabi.label_upper" in err and "rabi.label_lower" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("resonances", "resonances", "grid_step_mt", "0"),
+        ("levels", "levels", "b_steps", "0"),
+        ("freqmap", "freqmap", "b_steps", "0"),
+    ],
+)
+def test_out_of_range_value_is_usage_error(tmp_path, capsys, command, section, key, value):
+    cfg = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
