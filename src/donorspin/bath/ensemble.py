@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ..constants import CONSTANTS, SI29_ABUNDANCE
+from ..constants import SI29_ABUNDANCE
 from ..spin import SpinSystem, diagonalize, expectation_sz, si_bi
 from .couplings import KohnLuttingerModel, dipolar_b, enumerate_pairs, superhyperfine_j
 from .echo import EchoCurve, cce2_echo
@@ -79,23 +79,22 @@ def build_configuration(params: CceParams, config_index: int) -> BathConfigurati
     )
 
 
-def _donor_levels(params: CceParams) -> tuple[float, float, float]:
-    """(s_a, s_b, f_z): level <Sz> values and the bath Zeeman frequency."""
+def _donor_levels(params: CceParams) -> tuple[float, float]:
+    """(s_a, s_b): <Sz> of the upper and lower level of the transition."""
     es = diagonalize(params.system, params.field_b)
     upper, lower = params.transition
     s_a = expectation_sz(es, upper)
     s_b = expectation_sz(es, lower)
-    f_z = CONSTANTS.gyromagnetic_si29 * params.field_b
-    return s_a, s_b, f_z
+    return s_a, s_b
 
 
-def _config_amplitude(args: tuple[CceParams, int, float, float, float]) -> np.ndarray:
-    params, index, s_a, s_b, f_z = args
+def _config_amplitude(args: tuple[CceParams, int, float, float]) -> np.ndarray:
+    params, index, s_a, s_b = args
     config = build_configuration(params, index)
     times = np.asarray(params.time_grid_ms, dtype=float)
     if config.couplings_j is None:
         return np.ones_like(times)
-    return cce2_echo(config, s_a, s_b, times, f_z).amplitude
+    return cce2_echo(config, s_a, s_b, times).amplitude
 
 
 def ensemble_echo(params: CceParams, workers: int = 1) -> EchoCurve:
@@ -106,8 +105,8 @@ def ensemble_echo(params: CceParams, workers: int = 1) -> EchoCurve:
     the stacked curves in configuration order, so results are independent
     of the worker count.
     """
-    s_a, s_b, f_z = _donor_levels(params)
-    tasks = [(params, i, s_a, s_b, f_z) for i in range(params.n_configs)]
+    s_a, s_b = _donor_levels(params)
+    tasks = [(params, i, s_a, s_b) for i in range(params.n_configs)]
     if workers > 1 and params.n_configs > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             curves = list(pool.map(_config_amplitude, tasks))

@@ -102,13 +102,22 @@ def cmd_print_config(config, args) -> int:
     return 0
 
 
+def _field_grid(config, name: str) -> np.ndarray:
+    """The b_min_t..b_max_t grid of b_steps fields of config section name."""
+    section = config[name]
+    if section["b_steps"] < 1:
+        raise ConfigError(f"{name}.b_steps: must be at least 1")
+    if not section["b_min_t"] >= 0:
+        raise ConfigError(f"{name}.b_min_t: must not be negative")
+    if not section["b_max_t"] >= section["b_min_t"]:
+        raise ConfigError(f"{name}.b_max_t: must not be below {name}.b_min_t")
+    return np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
+
+
 def cmd_levels(config, args) -> int:
     started = time.monotonic()
     system = _system_from(config)
-    section = config["levels"]
-    if section["b_steps"] < 1:
-        raise ConfigError("levels.b_steps: must be at least 1")
-    grid = np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
+    grid = _field_grid(config, "levels")
     table = level_table(system, grid)
     # a state a|+1/2, x> + b|-1/2, y> has concurrence 2|ab| = |sin theta_m|
     concurrences = 2.0 * np.abs(table.up * table.down)
@@ -159,11 +168,8 @@ def cmd_resonances(config, args) -> int:
 def cmd_freqmap(config, args) -> int:
     started = time.monotonic()
     system = _system_from(config)
-    section = config["freqmap"]
-    if section["b_steps"] < 1:
-        raise ConfigError("freqmap.b_steps: must be at least 1")
-    grid = np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
-    table = frequency_field_map(system, grid, intensity_floor=section["intensity_floor"])
+    grid = _field_grid(config, "freqmap")
+    table = frequency_field_map(system, grid, intensity_floor=config["freqmap"]["intensity_floor"])
     path = _out_path(config, "freqmap.csv")
     _write_csv(
         path,
@@ -184,6 +190,8 @@ def cmd_rabi(config, args) -> int:
     section = config["rabi"]
     upper, lower = section["label_upper"], section["label_lower"]
     field = section["field_t"]
+    if not section["f1_mhz"] > 0:
+        raise ConfigError("rabi.f1_mhz: must be positive")
     in_range = all(1 <= label <= system.dimension for label in (upper, lower))
     sx = sx_matrix_element(system, upper, lower, field) if in_range else 0.0
     if sx == 0.0:
@@ -213,6 +221,12 @@ def _cce_params(config) -> CceParams:
     shells = {2: SECOND_NN_FACTOR * section["a0_nm"], 3: None}
     if section["shell"] not in shells:
         raise ConfigError("cce.shell: must be 2 or 3")
+    if section["n_configs"] < 1:
+        raise ConfigError("cce.n_configs: must be at least 1")
+    if not section["t_max_ms"] > 0:
+        raise ConfigError("cce.t_max_ms: must be positive")
+    if section["t_steps"] < 2:
+        raise ConfigError("cce.t_steps: must be at least 2")
     times = tuple(float(t) for t in np.linspace(0.0, section["t_max_ms"], section["t_steps"]))
     return CceParams(
         transition=(section["label_upper"], section["label_lower"]),
@@ -409,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
             config["run"]["workers"] = args.workers
         if args.out is not None:
             config["run"]["out_dir"] = args.out
+        if config["run"]["workers"] < 1:
+            raise ConfigError("run.workers: must be at least 1")
         return _COMMANDS[args.command](config, args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -282,6 +282,18 @@ def test_rabi_labels_not_one_m_apart_is_usage_error(tmp_path, capsys):
         ("resonances", "resonances", "grid_step_mt", "0"),
         ("levels", "levels", "b_steps", "0"),
         ("freqmap", "freqmap", "b_steps", "0"),
+        ("rabi", "rabi", "f1_mhz", "0"),
+        ("rabi", "rabi", "f1_mhz", "-15.625"),
+        ("levels", "run", "workers", "0"),
+        ("cce", "run", "workers", "-3"),
+        ("levels", "levels", "b_max_t", "-1"),
+        ("freqmap", "freqmap", "b_max_t", "-1"),
+        ("levels", "levels", "b_min_t", "-0.1"),
+        ("freqmap", "freqmap", "b_min_t", "-0.1"),
+        ("cce", "cce", "t_steps", "1"),
+        ("cce", "cce", "t_max_ms", "0"),
+        ("cce", "cce", "n_configs", "0"),
+        ("cce-converge", "cce", "t_max_ms", "-1"),
     ],
 )
 def test_out_of_range_value_is_usage_error(tmp_path, capsys, command, section, key, value):
@@ -289,4 +301,21 @@ def test_out_of_range_value_is_usage_error(tmp_path, capsys, command, section, k
     out = tmp_path / "out"
     assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["levels", "freqmap"])
+def test_descending_field_range_is_usage_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, f"[{command}]\nb_min_t = 0.5\nb_max_t = 0.1\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    assert f"{command}.b_max_t" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_below_one_is_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert run_cli("levels", "--out", str(out), "--workers", workers) == 2
+    assert "run.workers" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from test_dense_oracle import FZ, FZ_SHIFT_MHZ, by_label
+
 from donorspin import (
     bell_field,
+    build_hamiltonian,
     concurrence,
     diagonalize,
     doublet_energies,
@@ -61,17 +64,19 @@ def test_zero_field_doublet_energies():
 
 
 def test_analytic_matches_numeric_energies():
+    # dense oracle: eigvalsh of the Fz-shifted full Hamiltonian, labelled by m block
     sys = si_bi()
     for b in np.linspace(1e-3, 1.0, 200):
-        es = diagonalize(sys, float(b))
-        scale = np.max(np.abs(es.energies))
+        shifted = build_hamiltonian(sys, float(b)) + FZ_SHIFT_MHZ * np.diag(FZ)
+        energies = by_label(np.linalg.eigvalsh(shifted))
+        scale = np.max(np.abs(energies))
         for m in range(-4, 5):
             lo, hi = doublet_energies(sys, m, float(b))
-            assert abs(lo - es.energy(sys.label_of(m, -1))) < 1e-9 * scale
-            assert abs(hi - es.energy(sys.label_of(m, +1))) < 1e-9 * scale
+            assert abs(lo - energies[sys.label_of(m, -1) - 1]) < 1e-9 * scale
+            assert abs(hi - energies[sys.label_of(m, +1) - 1]) < 1e-9 * scale
         un_lo, un_hi = unmixed_energies(sys, float(b))
-        assert abs(un_lo - es.energy(10)) < 1e-9 * scale
-        assert abs(un_hi - es.energy(20)) < 1e-9 * scale
+        assert abs(un_lo - energies[10 - 1]) < 1e-9 * scale
+        assert abs(un_hi - energies[20 - 1]) < 1e-9 * scale
 
 
 def test_eps_sign_matches_block_mean():

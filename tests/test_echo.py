@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from donorspin.bath import BathConfiguration, cce2_echo, pair_echo
@@ -75,6 +77,42 @@ def test_pair_echo_matches_sequence_oracle():
         want = _sequence_oracle(j_k, j_l, b, s_a, s_b, t, f_z)
         worst = max(worst, abs(got - want))
     assert worst < 1e-10
+
+
+@st.composite
+def _pair_draws(draw):
+    """(j_k, j_l, b, s_a, s_b, f_z, t_ms); b = 0, J_k = J_l and s_a = s_b
+    are drawn on purpose as well as at random."""
+    j_k = draw(st.floats(-1.5, 1.5))
+    j_l = draw(st.one_of(st.just(j_k), st.floats(-1.5, 1.5)))
+    b = draw(st.one_of(st.just(0.0), st.floats(-2e-3, 2e-3)))
+    s_a = draw(st.floats(-0.5, 0.5))
+    s_b = draw(st.one_of(st.just(s_a), st.floats(-0.5, 0.5)))
+    f_z = draw(st.floats(-5.0, 5.0))
+    t_ms = draw(st.floats(0.0, 2.0))
+    return j_k, j_l, b, s_a, s_b, f_z, t_ms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(draw=_pair_draws())
+def test_pair_echo_property_real_bounded_and_exact(draw):
+    j_k, j_l, b, s_a, s_b, f_z, t_ms = draw
+    amp = pair_echo(j_k, j_l, b, s_a, s_b, np.array([0.0, t_ms]), f_z)
+    assert np.isrealobj(amp) and np.all(np.isfinite(amp))
+    assert np.all((amp >= 0.0) & (amp <= 1.0))
+    assert amp[0] == 1.0
+    assert abs(amp[1] - _sequence_oracle(j_k, j_l, b, s_a, s_b, t_ms, f_z)) < 1e-10
+
+
+def test_pair_echo_full_loss_is_not_negative():
+    # b = dJ with s_a = -s_b = 1/2 makes n_a perpendicular to n_b, and at
+    # 2 w tau = odd/2 both sines are 1: the exact echo is 0, and unclamped
+    # round-off lands a few ulp below it
+    for delta_j in (0.3, 0.5, 0.7, 1.0, 1.3):
+        w = np.hypot(0.25 * delta_j, 0.25 * delta_j)
+        times = np.array([0.0, *((2 * k + 1) / (4 * w) / 500.0 for k in range(5))])
+        amp = pair_echo(delta_j, 0.0, delta_j, 0.5, -0.5, times)
+        assert np.all(amp[1:] >= 0.0) and np.max(amp[1:]) < 1e-14
 
 
 def test_single_spin_cluster_factor_is_one():
