@@ -141,8 +141,13 @@ def cmd_resonances(config, args) -> int:
     started = time.monotonic()
     system = _system_from(config)
     section = config["resonances"]
-    if not section["grid_step_mt"] > 0:
-        raise ConfigError("resonances.grid_step_mt: must be positive")
+    for key in ("frequency_mhz", "fwhm_mt", "grid_step_mt"):
+        if not section[key] > 0:
+            raise ConfigError(f"resonances.{key}: must be positive")
+    if not section["b_min_t"] >= 0:
+        raise ConfigError("resonances.b_min_t: must not be negative")
+    if not section["b_max_t"] > section["b_min_t"]:
+        raise ConfigError("resonances.b_max_t: must be above resonances.b_min_t")
     transitions = find_all_resonances(
         system,
         section["frequency_mhz"],
@@ -227,11 +232,20 @@ def _cce_params(config) -> CceParams:
         raise ConfigError("cce.t_max_ms: must be positive")
     if section["t_steps"] < 2:
         raise ConfigError("cce.t_steps: must be at least 2")
+    for key in ("field_t", "a0_nm"):
+        if not section[key] > 0:
+            raise ConfigError(f"cce.{key}: must be positive")
+    if not 0.0 <= section["abundance"] <= 1.0:
+        raise ConfigError("cce.abundance: must lie in [0, 1]")
+    try:
+        lattice = LatticeSpec(side_nm=section["side_nm"], a0_nm=section["a0_nm"])
+    except ValueError as exc:
+        raise ConfigError(f"cce.side_nm: {exc}") from None
     times = tuple(float(t) for t in np.linspace(0.0, section["t_max_ms"], section["t_steps"]))
     return CceParams(
         transition=(section["label_upper"], section["label_lower"]),
         field_b=section["field_t"],
-        lattice=LatticeSpec(side_nm=section["side_nm"], a0_nm=section["a0_nm"]),
+        lattice=lattice,
         time_grid_ms=times,
         n_configs=section["n_configs"],
         seed=config["run"]["seed"],

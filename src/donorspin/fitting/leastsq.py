@@ -1,10 +1,18 @@
-"""Damped least-squares with box bounds and standard errors.
+"""Damped least-squares with box bounds, standard errors and conditioning.
 
 The solver is a Levenberg-style loop with Marquardt scaling: the normal
 equations are damped by lambda * diag(J^T J), lambda shrinking tenfold on
-every accepted step and growing tenfold on every rejection. Steps are
-projected onto the box; a step is accepted only if it does not increase
-the cost, so the accepted-cost history is monotone by construction.
+every accepted step and growing tenfold on every rejection. Bounds are an
+active set: each iteration holds every parameter that sits on a bound
+while its descent direction -gradient points out of the box, and solves
+the damped system over the free parameters only. The step is clipped onto
+the box and accepted only if it does not increase the cost, so the
+accepted-cost history is monotone by construction.
+
+A parameter held fixed is a zero-width box, lo = hi. Its Jacobian column
+is 0, so it never moves and is never identifiable. Identifiability is one
+rule: a column whose norm is below NULL_COLUMN_REL of the largest is
+unidentifiable, and both standard_errors and condition_number leave it out.
 """
 
 from __future__ import annotations
@@ -96,16 +104,19 @@ def levenberg_fit(
     while iteration < max_iterations and not converged:
         iteration += 1
         gradient = jac.T @ r
-        normal = jac.T @ jac
+        # active set: hold a parameter on a bound that descent would push out
+        free = ~(((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0)))
+        normal = jac[:, free].T @ jac[:, free]
         scale = np.diag(normal).copy()
-        scale = np.maximum(scale, max(scale.max(), 1e-300) * 1e-14)
+        scale = np.maximum(scale, scale.max(initial=1e-300) * 1e-14)
+        step = np.zeros_like(x)
 
         while True:
             damped = normal + lam * np.diag(scale)
             try:
-                step = np.linalg.solve(damped, -gradient)
+                step[free] = np.linalg.solve(damped, -gradient[free])
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(damped, -gradient, rcond=None)[0]
+                step[free] = np.linalg.lstsq(damped, -gradient[free], rcond=None)[0]
             x_new = np.clip(x + step, lo, hi)
             r_new = residual(x_new)
             cost_new = float(r_new @ r_new)
@@ -136,14 +147,30 @@ def levenberg_fit(
     )
 
 
+def _identifiable(jac: np.ndarray) -> np.ndarray:
+    """Mask of the Jacobian columns that are not numerically null."""
+    col_norms = np.linalg.norm(jac, axis=0)
+    return col_norms > NULL_COLUMN_REL * max(col_norms.max(), 1e-300)
+
+
+def condition_number(solution: _Solution) -> float:
+    """cond(J^T J) over the identifiable columns, each scaled to unit norm.
+
+    Unit columns take the parameters' units out of the number, so it
+    measures only how nearly parallel the identifiable directions are.
+    """
+    sub = solution.jacobian[:, _identifiable(solution.jacobian)]
+    unit = sub / np.linalg.norm(sub, axis=0)
+    return float(np.linalg.cond(unit.T @ unit))
+
+
 def standard_errors(solution: _Solution, names: list[str]) -> dict[str, float]:
     """sigma^2 (J^T J)^-1 errors over the identifiable parameter subset."""
     if not solution.converged:
         return {}
     jac = solution.jacobian
-    m, n = jac.shape
-    col_norms = np.linalg.norm(jac, axis=0)
-    identifiable = col_norms > NULL_COLUMN_REL * max(col_norms.max(), 1e-300)
+    m = jac.shape[0]
+    identifiable = _identifiable(jac)
     k = int(np.sum(identifiable))
     if k == 0 or m <= k:
         return {}
@@ -157,13 +184,8 @@ def standard_errors(solution: _Solution, names: list[str]) -> dict[str, float]:
     variances = np.diag(cov)
     if np.any(variances < 0):
         return {}
-    errors = {}
-    j = 0
-    for i, name in enumerate(names):
-        if identifiable[i]:
-            errors[name] = float(np.sqrt(variances[j]))
-            j += 1
-    return errors
+    kept = [name for name, keep in zip(names, identifiable) if keep]
+    return {name: float(error) for name, error in zip(kept, np.sqrt(variances))}
 
 
 def build_result(solution: _Solution, names: list[str]) -> FitResult:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from .leastsq import FitResult, build_result, levenberg_fit, standard_errors
+from .leastsq import FitResult, build_result, condition_number, levenberg_fit
 from .models import (
     echo_decay,
     exp_recovery,
@@ -57,8 +58,6 @@ def fit_echo_decay(
     # alone and the stretched channel parks at its (unidentifiable) bound
     lo = np.array([0.0 if free_amplitude else 1.0, 0.0, 1e-6, 1.05])
     hi = np.array([1e6 if free_amplitude else 1.0, 1e3, 1e9, 6.0])
-    if not free_amplitude:
-        amp_guess = 1.0
 
     def residual(x):
         with np.errstate(over="ignore"):
@@ -67,42 +66,16 @@ def fit_echo_decay(
 
     starts = [np.array([amp_guess, 0.0, ts_guess, n0]) for n0 in ECHO_START_EXPONENTS]
     starts.append(np.array([amp_guess, 1.0 / ts_guess, 1e6 * ts_guess, 2.0]))
-    starts = [np.clip(s, lo, hi) for s in starts]
-    best = None
-    for x0 in starts:
-        solution = levenberg_fit(residual, x0, lo, hi)
-        cost = solution.cost_history[-1]
-        # best residual wins; the flag only breaks exact ties
-        if best is None or (cost, not solution.converged) < (best[1], not best[0].converged):
-            best = (solution, cost)
-    solution = best[0]
-
-    names = ["amp", "rate_per_ms", "TS_ms", "n"]
-    errors = standard_errors(solution, names)
-    amp_fit, rate, ts, n = solution.x
-    params = {
-        "amp": float(amp_fit),
-        "T2_ms": float(1.0 / rate) if rate > 0 else math.inf,
-        "TS_ms": float(ts),
-        "n": float(n),
-    }
-    std_errors = {}
-    if "amp" in errors and free_amplitude:
-        std_errors["amp"] = errors["amp"]
-    if "rate_per_ms" in errors and rate > 0 and 1.0 / rate <= T2_EFFECTIVELY_INFINITE_MS:
-        std_errors["T2_ms"] = errors["rate_per_ms"] / rate**2
-    if "TS_ms" in errors:
-        std_errors["TS_ms"] = errors["TS_ms"]
-    if "n" in errors:
-        std_errors["n"] = errors["n"]
-    return FitResult(
-        params=params,
-        std_errors=std_errors,
-        residual_norm=float(np.linalg.norm(solution.residual)),
-        converged=solution.converged,
-        n_iterations=solution.n_iterations,
-        cost_history=solution.cost_history,
-    )
+    solutions = [levenberg_fit(residual, x0, lo, hi) for x0 in starts]
+    # best residual wins; the flag only breaks exact ties
+    best = min(solutions, key=lambda s: (s.cost_history[-1], not s.converged))
+    result = build_result(best, ["amp", "rate_per_ms", "TS_ms", "n"])
+    params, errors = dict(result.params), dict(result.std_errors)
+    rate, rate_error = params.pop("rate_per_ms"), errors.pop("rate_per_ms", None)
+    params["T2_ms"] = 1.0 / rate if rate > 0 else math.inf
+    if rate_error is not None and rate > 0 and 1.0 / rate <= T2_EFFECTIVELY_INFINITE_MS:
+        errors["T2_ms"] = rate_error / rate**2
+    return dataclasses.replace(result, params=params, std_errors=errors)
 
 
 def _t1_linear_prescreen(temps, rates, delta_grid):
@@ -135,46 +108,24 @@ def fit_t1_temperature(
     if np.any(temps <= 0):
         raise ValueError("temperatures must be positive")
 
-    if delta_fixed_k is not None:
-        delta_grid = np.array([delta_fixed_k])
-        p_guess, e_guess, delta_guess = _t1_linear_prescreen(temps, rates, delta_grid)
-    else:
+    if delta_fixed_k is None:
         coarse = np.geomspace(10.0, 5000.0, 60)
         _, _, delta_coarse = _t1_linear_prescreen(temps, rates, coarse)
-        fine = np.linspace(0.8 * delta_coarse, 1.25 * delta_coarse, 41)
-        p_guess, e_guess, delta_guess = _t1_linear_prescreen(temps, rates, fine)
-
-    if delta_fixed_k is None:
-        names = ["P", "E", "Delta_K"]
-        lo = np.array([0.0, 0.0, 1.0])
-        hi = np.array([1e30, 1e30, 1e4])
-        x0 = np.array([p_guess, e_guess, delta_guess])
-
-        def residual(x):
-            return t1_rate(temps, x[0], x[1], x[2]) - rates
-
+        delta_grid = np.linspace(0.8 * delta_coarse, 1.25 * delta_coarse, 41)
+        delta_lo, delta_hi = 1.0, 1e4
     else:
-        names = ["P", "E"]
-        lo = np.array([0.0, 0.0])
-        hi = np.array([1e30, 1e30])
-        x0 = np.array([p_guess, e_guess])
+        # a held barrier is a zero-width box: exact, and without a standard error
+        delta_grid = np.array([delta_fixed_k])
+        delta_lo = delta_hi = delta_fixed_k
+    x0 = np.array(_t1_linear_prescreen(temps, rates, delta_grid))
+    lo = np.array([0.0, 0.0, delta_lo])
+    hi = np.array([1e30, 1e30, delta_hi])
 
-        def residual(x):
-            return t1_rate(temps, x[0], x[1], delta_fixed_k) - rates
+    def residual(x):
+        return t1_rate(temps, x[0], x[1], x[2]) - rates
 
     solution = levenberg_fit(residual, x0, lo, hi)
-    result = build_result(solution, names)
-    if delta_fixed_k is not None:
-        params = dict(result.params, Delta_K=float(delta_fixed_k))
-        result = FitResult(
-            params=params,
-            std_errors=result.std_errors,
-            residual_norm=result.residual_norm,
-            converged=result.converged,
-            n_iterations=result.n_iterations,
-            cost_history=result.cost_history,
-        )
-    return result
+    return build_result(solution, ["P", "E", "Delta_K"])
 
 
 def fit_exp_recovery(times_ms: np.ndarray, magnetization: np.ndarray) -> FitResult:
@@ -236,9 +187,11 @@ def fit_gaussian_lines(
     """Fit a sum of Gaussian lines (or their derivatives) to a spectrum.
 
     Initial centers come from the integrated curve in derivative mode.
-    Per line the params carry center_i_mt, fwhm_i_mt, amp_i and the
-    analytic area_i; heavily overlapping lines that leave the normal
-    matrix ill-conditioned report converged = False.
+    Lines are numbered by centre; per line the params carry center_i_mt,
+    fwhm_i_mt, amp_i and the analytic area_i. Heavily overlapping lines
+    that leave the normal matrix ill-conditioned report converged = False;
+    conditioning is judged on unit-norm Jacobian columns, so the units of
+    centres, widths and amplitudes do not enter it.
     """
     if n_lines < 1:
         raise ValueError("need at least one line")
@@ -266,41 +219,26 @@ def fit_gaussian_lines(
         lo[3 * i : 3 * i + 3] = (x_mt[0], 1e-4, -1e12)
         hi[3 * i : 3 * i + 3] = (x_mt[-1], x_mt[-1] - x_mt[0], 1e12)
 
+    solution = levenberg_fit(residual, x0, lo, hi)
+    # lines numbered by centre: reorder the triples of x and of the Jacobian
+    order = (3 * np.argsort(solution.x[0::3])[:, None] + np.arange(3)).ravel()
+    x = solution.x[order]
+    x[1::3] = np.abs(x[1::3])
+    solution = dataclasses.replace(
+        solution,
+        x=x,
+        jacobian=solution.jacobian[:, order],
+        converged=solution.converged and condition_number(solution) <= 1e12,
+    )
     names = []
     for i in range(1, n_lines + 1):
         names += [f"center_{i}_mt", f"fwhm_{i}_mt", f"amp_{i}"]
-    solution = levenberg_fit(residual, x0, lo, hi)
-
-    normal = solution.jacobian.T @ solution.jacobian
-    ill_conditioned = np.linalg.cond(normal) > 1e12
-    converged = solution.converged and not ill_conditioned
-
-    order = np.argsort(solution.x[0::3])
-    params: dict[str, float] = {}
-    std_errors_raw = standard_errors(solution, names) if converged else {}
-    std_errors: dict[str, float] = {}
-    for rank, i in enumerate(order, start=1):
-        center, fwhm, amp = solution.x[3 * i : 3 * i + 3]
-        params[f"center_{rank}_mt"] = float(center)
-        params[f"fwhm_{rank}_mt"] = float(abs(fwhm))
-        params[f"amp_{rank}"] = float(amp)
-        params[f"area_{rank}"] = gaussian_area(float(amp), float(abs(fwhm)))
-        renames = {
-            f"center_{i + 1}_mt": f"center_{rank}_mt",
-            f"fwhm_{i + 1}_mt": f"fwhm_{rank}_mt",
-            f"amp_{i + 1}": f"amp_{rank}",
-        }
-        for old, new in renames.items():
-            if old in std_errors_raw:
-                std_errors[new] = std_errors_raw[old]
-    return FitResult(
-        params=params,
-        std_errors=std_errors,
-        residual_norm=float(np.linalg.norm(solution.residual)),
-        converged=converged,
-        n_iterations=solution.n_iterations,
-        cost_history=solution.cost_history,
-    )
+    result = build_result(solution, names)
+    p = result.params
+    areas = {
+        f"area_{i}": gaussian_area(p[f"amp_{i}"], p[f"fwhm_{i}_mt"]) for i in range(1, n_lines + 1)
+    }
+    return dataclasses.replace(result, params=dict(p, **areas))
 
 
 def subtract_linear_baseline(

@@ -3,10 +3,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import donorspin
 from donorspin import bell_field, si_bi
 from donorspin.cli import default_config, load_config, render_config
 from donorspin.cli.main import main
@@ -294,6 +297,14 @@ def test_rabi_labels_not_one_m_apart_is_usage_error(tmp_path, capsys):
         ("cce", "cce", "t_max_ms", "0"),
         ("cce", "cce", "n_configs", "0"),
         ("cce-converge", "cce", "t_max_ms", "-1"),
+        ("resonances", "resonances", "b_min_t", "-0.5"),
+        ("resonances", "resonances", "b_max_t", "0"),
+        ("resonances", "resonances", "frequency_mhz", "0"),
+        ("resonances", "resonances", "fwhm_mt", "0"),
+        ("cce", "cce", "field_t", "0"),
+        ("cce", "cce", "side_nm", "0"),
+        ("cce", "cce", "a0_nm", "0"),
+        ("cce", "cce", "abundance", "1.5"),
     ],
 )
 def test_out_of_range_value_is_usage_error(tmp_path, capsys, command, section, key, value):
@@ -319,3 +330,15 @@ def test_workers_flag_below_one_is_usage_error(tmp_path, capsys, workers):
     assert run_cli("levels", "--out", str(out), "--workers", workers) == 2
     assert "run.workers" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(donorspin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "donorspin.cli", "print-config"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "[run]" in proc.stdout

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from donorspin import si_bi
 from donorspin.fitting import (
@@ -17,6 +19,7 @@ from donorspin.fitting import (
     gaussian_area,
     gaussian_derivative_sum,
     gaussian_sum,
+    levenberg_fit,
     rabi_peak,
     subtract_linear_baseline,
     t1_rate,
@@ -332,3 +335,65 @@ def test_rabi_peak_validation():
     nonuniform[10] += 1e-3
     with pytest.raises(ValueError):
         rabi_peak(nonuniform, np.cos(2.0 * np.pi * 15.625 * nonuniform))
+
+
+def test_linear_optimum_on_bound_is_exact():
+    # the unconstrained optimum has x0 = -1, so the bounded one sits on x0 = 0
+    t = np.linspace(0.0, 1.0, 40)
+    a = np.column_stack([t, t + 0.01 * t**2, np.ones_like(t)])
+    b = a @ np.array([-1.0, 2.0, 0.5])
+    solution = levenberg_fit(
+        lambda x: a @ x - b,
+        np.array([1.0, 1.0, 0.0]),
+        np.array([0.0, -10.0, -10.0]),
+        np.array([10.0, 10.0, 10.0]),
+    )
+    want = np.linalg.lstsq(a[:, 1:], b, rcond=None)[0]
+    assert solution.converged
+    assert solution.x[0] == 0.0
+    assert np.max(np.abs(solution.x[1:] - want)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    center=st.floats(50.0, 600.0),
+    fwhm=st.floats(0.3, 2.0),
+    amp=st.floats(1e-3, 1e6),
+    offset=st.floats(0.0, 0.05, exclude_max=True),
+    mode=st.sampled_from(["absorption", "derivative"]),
+)
+def test_single_gaussian_line_recovers_center(center, fwhm, amp, offset, mode):
+    # a clean line in a +-2 mT window sampled at 0.05 mT, off the grid by offset
+    grid_mt = center - offset + 0.05 * np.arange(-40, 41)
+    shape = gaussian_sum if mode == "absorption" else gaussian_derivative_sum
+    signal = shape(grid_mt, [center], [fwhm], [amp])
+    result = fit_gaussian_lines(grid_mt * 1e-3, signal, n_lines=1, mode=mode)
+    assert result.converged
+    assert result.params["center_1_mt"] == pytest.approx(center, abs=1e-3)
+
+
+# mean echo of 4 configurations of a 27.8 nm box (shell 3, 11-10 at 0.3446 T,
+# run.seed 647279673); its best stretched fit has the T2 rate on its bound at 0
+SEED_21_ECHO = np.array([
+    1.0, 0.9980226400639768, 0.9888797591162999, 0.9723945793808021, 0.9477223511546912,
+    0.9131741258655584, 0.8690727328779193, 0.8161479917252469, 0.7566675173234738,
+    0.6916746700718369, 0.6227667757377451, 0.5517222714040817, 0.4804074394712307,
+    0.4113962922048885, 0.34674973741521076, 0.2875171466744503, 0.23448786633158836,
+    0.1881230915794294, 0.1485015874508893, 0.11544226415674386, 0.08838067200853116,
+    0.06661374536261241, 0.049410973013989334, 0.036025772715091366, 0.025801141375708034,
+    0.018152631292583134, 0.01254116135359085, 0.008515430247364997, 0.005675422035315898,
+    0.0037041587140411187, 0.002366126414666306, 0.001478582106961154, 0.0009049406090676505,
+    0.0005424231318055308, 0.0003184349703897049, 0.00018289573453372608,
+    0.00010287048311190882, 5.667865705578211e-05, 3.060455640397463e-05,
+    1.6197613175214967e-05, 8.410036674035549e-06, 4.289518527996814e-06, 2.149666654129011e-06,
+    1.0579180279263361e-06, 5.111615527873157e-07, 2.4275353404098155e-07,
+    1.1344682780413166e-07, 5.2246216234252765e-08, 2.3738538959343087e-08,
+    1.0619199784562048e-08, 4.677053008831629e-09,
+])
+
+
+def test_echo_decay_converges_with_rate_on_bound():
+    result = fit_echo_decay(np.linspace(0.0, 1.0, 51), SEED_21_ECHO)
+    assert result.converged
+    assert t2_effectively_infinite(result)
+    assert result.params["TS_ms"] == pytest.approx(0.274, rel=1e-2)
