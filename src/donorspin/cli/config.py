@@ -1,15 +1,20 @@
 """Sectioned key-value run configuration with a strict schema.
 
-Every key has a typed default below; print-config renders them all, so a
-config file only needs the keys it overrides. Unknown sections or keys
-are usage errors carrying the offending key path.
+Every key has a typed default and a bound below; print-config renders
+them all, so a config file only needs the keys it overrides. Unknown
+sections or keys are usage errors carrying the offending key path.
+`validate` checks the whole effective config once: every float is
+finite, every value keeps its key's bound (a list key applies it to each
+entry and may not be empty), then the cross-key `RULES` hold.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from typing import Any
 
+from ..bath import LatticeSpec
 from ..constants import (
     BI_G_FACTOR,
     BI_HYPERFINE_MHZ,
@@ -18,104 +23,192 @@ from ..constants import (
     SI29_ABUNDANCE,
     SI_LATTICE_NM,
 )
+from ..spectra import sx_matrix_element
+from ..spin import SpinSystem
 
 
 class ConfigError(Exception):
     """Malformed configuration; the message names the key path."""
 
 
-# section -> key -> (type tag, default)
-SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
+# bound name -> (test on one value, what the test asks for)
+CHECKS = {
+    "> 0": (lambda v: v > 0, "must be positive"),
+    ">= 0": (lambda v: v >= 0, "must not be negative"),
+    ">= 1": (lambda v: v >= 1, "must be at least 1"),
+    ">= 2": (lambda v: v >= 2, "must be at least 2"),
+    "in [0, 1]": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "half-integer >= 1/2": (lambda v: v >= 0.5 and (2 * v).is_integer(),
+                            "must be a half-integer of at least 1/2"),
+}
+
+# section -> key -> (type tag, default, bound); a bound names a check in
+# CHECKS, is the tuple of allowed values, or is None (any finite value)
+SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
     "donor": {
-        "hyperfine_mhz": ("float", BI_HYPERFINE_MHZ),
-        "g_factor": ("float", BI_G_FACTOR),
-        "nuclear_zeeman_delta": ("float", BI_NUCLEAR_ZEEMAN_DELTA),
-        "nuclear_spin": ("float", BI_NUCLEAR_SPIN),
+        "hyperfine_mhz": ("float", BI_HYPERFINE_MHZ, "> 0"),
+        "g_factor": ("float", BI_G_FACTOR, "> 0"),
+        "nuclear_zeeman_delta": ("float", BI_NUCLEAR_ZEEMAN_DELTA, None),
+        "nuclear_spin": ("float", BI_NUCLEAR_SPIN, "half-integer >= 1/2"),
     },
     "run": {
-        "seed": ("int", 2024),
-        "workers": ("int", 1),
-        "out_dir": ("str", "."),
+        "seed": ("int", 2024, None),
+        "workers": ("int", 1, ">= 1"),
+        "out_dir": ("str", ".", None),
     },
     "levels": {
-        "b_min_t": ("float", 0.0),
-        "b_max_t": ("float", 0.6),
-        "b_steps": ("int", 241),
+        "b_min_t": ("float", 0.0, ">= 0"),
+        "b_max_t": ("float", 0.6, ">= 0"),
+        "b_steps": ("int", 241, ">= 1"),
     },
     "resonances": {
-        "frequency_mhz": ("float", 4044.0),
-        "b_min_t": ("float", 0.0),
-        "b_max_t": ("float", 0.6),
-        "intensity_floor": ("float", 1e-4),
-        "fwhm_mt": ("float", 0.7),
-        "grid_step_mt": ("float", 0.05),
+        "frequency_mhz": ("float", 4044.0, "> 0"),
+        "b_min_t": ("float", 0.0, ">= 0"),
+        "b_max_t": ("float", 0.6, ">= 0"),
+        "intensity_floor": ("float", 1e-4, ">= 0"),
+        "fwhm_mt": ("float", 0.7, "> 0"),
+        "grid_step_mt": ("float", 0.05, "> 0"),
     },
     "freqmap": {
-        "b_min_t": ("float", 0.0),
-        "b_max_t": ("float", 0.6),
-        "b_steps": ("int", 121),
-        "intensity_floor": ("float", 1e-4),
+        "b_min_t": ("float", 0.0, ">= 0"),
+        "b_max_t": ("float", 0.6, ">= 0"),
+        "b_steps": ("int", 121, ">= 1"),
+        "intensity_floor": ("float", 1e-4, ">= 0"),
     },
     "rabi": {
-        "label_upper": ("int", 11),
-        "label_lower": ("int", 10),
-        "field_t": ("float", 0.3446),
-        "f1_mhz": ("float", 15.625),
-        "input_csv": ("optstr", None),
+        "label_upper": ("int", 11, ">= 1"),
+        "label_lower": ("int", 10, ">= 1"),
+        "field_t": ("float", 0.3446, ">= 0"),
+        "f1_mhz": ("float", 15.625, "> 0"),
+        "input_csv": ("optstr", None, None),
     },
     "cce": {
-        "label_upper": ("int", 11),
-        "label_lower": ("int", 10),
-        "field_t": ("float", 0.3446),
-        "side_nm": ("float", 14.0),
-        "n_configs": ("int", 20),
-        "shell": ("int", 3),
-        "t_max_ms": ("float", 1.0),
-        "t_steps": ("int", 51),
-        "abundance": ("float", SI29_ABUNDANCE),
-        "a0_nm": ("float", SI_LATTICE_NM),
-        "fit": ("bool", True),
+        "label_upper": ("int", 11, ">= 1"),
+        "label_lower": ("int", 10, ">= 1"),
+        "field_t": ("float", 0.3446, "> 0"),
+        "side_nm": ("float", 14.0, "> 0"),
+        "n_configs": ("int", 20, ">= 1"),
+        "shell": ("int", 3, (2, 3)),
+        "t_max_ms": ("float", 1.0, "> 0"),
+        "t_steps": ("int", 51, ">= 2"),
+        "abundance": ("float", SI29_ABUNDANCE, "in [0, 1]"),
+        "a0_nm": ("float", SI_LATTICE_NM, "> 0"),
+        "fit": ("bool", True, None),
     },
     "converge": {
-        "sides_nm": ("floatlist", (7.0, 10.0, 14.0, 18.0)),
-        "shells": ("intlist", (2, 3)),
+        "sides_nm": ("floatlist", (7.0, 10.0, 14.0, 18.0), "> 0"),
+        "shells": ("intlist", (2, 3), (2, 3)),
     },
     "fit": {
-        "model": ("str", "echo_decay"),
-        "input_csv": ("optstr", None),
-        "fix_delta_k": ("optfloat", None),
-        "n_lines": ("int", 2),
-        "mode": ("str", "absorption"),
-        "free_amplitude": ("bool", True),
+        "model": ("str", "echo_decay",
+                  ("echo_decay", "t1_raman_orbach", "exp_recovery", "gaussian_lines")),
+        "input_csv": ("optstr", None, None),
+        "fix_delta_k": ("optfloat", None, "> 0"),
+        "n_lines": ("int", 2, ">= 1"),
+        "mode": ("str", "absorption", ("absorption", "derivative")),
+        "free_amplitude": ("bool", True, None),
     },
 }
 
+
+def spin_system(config) -> SpinSystem:
+    """The donor of config's [donor] section, whose keys are SpinSystem fields."""
+    return SpinSystem(electron_spin=0.5, **config["donor"])
+
+
+def _holds_two_cells(side_nm: float, config) -> bool:
+    try:
+        LatticeSpec(side_nm=side_nm, a0_nm=config["cce"]["a0_nm"])
+    except ValueError:
+        return False
+    return True
+
+
+def _labels_of_donor(config, section: str) -> bool:
+    labels = config[section]["label_upper"], config[section]["label_lower"]
+    return max(labels) <= spin_system(config).dimension
+
+
+def _rabi_coupled(config) -> bool:
+    rabi = config["rabi"]
+    return _labels_of_donor(config, "rabi") and sx_matrix_element(
+        spin_system(config), rabi["label_upper"], rabi["label_lower"], rabi["field_t"]) != 0.0
+
+
+# (error naming the keys, formatted with the config and the donor's
+# dimension; test on the config), checked once every key keeps its bound
+RULES = (
+    ("levels.b_max_t: must be at least levels.b_min_t",
+     lambda c: c["levels"]["b_max_t"] >= c["levels"]["b_min_t"]),
+    ("freqmap.b_max_t: must be at least freqmap.b_min_t",
+     lambda c: c["freqmap"]["b_max_t"] >= c["freqmap"]["b_min_t"]),
+    ("resonances.b_max_t: must be above resonances.b_min_t",
+     lambda c: c["resonances"]["b_max_t"] > c["resonances"]["b_min_t"]),
+    ("cce.side_nm: {cce[side_nm]!r} nm must hold at least 2 cells of cce.a0_nm",
+     lambda c: _holds_two_cells(c["cce"]["side_nm"], c)),
+    ("converge.sides_nm: every side must hold at least 2 cells of cce.a0_nm",
+     lambda c: all(_holds_two_cells(side, c) for side in c["converge"]["sides_nm"])),
+    ("rabi.label_upper, rabi.label_lower: {rabi[label_upper]} and {rabi[label_lower]} must "
+     "be labels 1..{dimension} one m apart for the drive to couple them at rabi.field_t",
+     _rabi_coupled),
+    ("cce.label_upper, cce.label_lower: {cce[label_upper]} and {cce[label_lower]} must "
+     "be distinct labels 1..{dimension}",
+     lambda c: _labels_of_donor(c, "cce") and c["cce"]["label_upper"] != c["cce"]["label_lower"]),
+)
+
+
+def _problem(bound: Any, value: Any) -> str | None:
+    """Why one value breaks bound, or None."""
+    if value is None:  # an unset optional key
+        return None
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
+    if isinstance(bound, tuple):
+        return None if value in bound else f"must be one of {', '.join(map(str, bound))}"
+    if bound is None or CHECKS[bound][0](value):
+        return None
+    return CHECKS[bound][1]
+
+
+def validate(config: dict[str, dict[str, Any]]) -> None:
+    """Raise ConfigError at the first key out of its bound, else at the
+    first broken cross-key rule."""
+    for section, keys in SCHEMA.items():
+        for key, (tag, _, bound) in keys.items():
+            items = config[section][key] if tag.endswith("list") else [config[section][key]]
+            if not items:
+                raise ConfigError(f"{section}.{key}: must not be empty")
+            for item in items:
+                problem = _problem(bound, item)
+                if problem is not None:
+                    raise ConfigError(f"{section}.{key}: {problem}, got {item!r}")
+    for message, holds in RULES:
+        if not holds(config):
+            raise ConfigError(message.format(dimension=spin_system(config).dimension, **config))
+
+
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False, "on": True, "off": False}
+
+# type tag -> parser of the stripped raw text
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "bool": lambda raw: _BOOL_WORDS[raw.lower()],
+    "optstr": lambda raw: raw or None,
+    "optfloat": lambda raw: float(raw) if raw else None,
+    "floatlist": lambda raw: tuple(float(tok) for tok in raw.replace(",", " ").split()),
+    "intlist": lambda raw: tuple(int(tok) for tok in raw.replace(",", " ").split()),
+}
 
 
 def _parse_value(tag: str, raw: str, path: str) -> Any:
     raw = raw.strip()
     try:
-        if tag == "float":
-            return float(raw)
-        if tag == "int":
-            return int(raw)
-        if tag == "str":
-            return raw
-        if tag == "bool":
-            return _BOOL_WORDS[raw.lower()]
-        if tag == "optstr":
-            return raw or None
-        if tag == "optfloat":
-            return float(raw) if raw else None
-        if tag == "floatlist":
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        if tag == "intlist":
-            return tuple(int(tok) for tok in raw.replace(",", " ").split())
+        return _PARSERS[tag](raw)
     except (ValueError, KeyError):
         raise ConfigError(f"{path}: cannot parse {raw!r} as {tag}") from None
-    raise ConfigError(f"{path}: unknown type tag {tag}")
 
 
 def _render_value(tag: str, value: Any) -> str:
@@ -123,13 +216,8 @@ def _render_value(tag: str, value: Any) -> str:
         return ""
     if tag == "bool":
         return "true" if value else "false"
-    if tag in ("float", "optfloat"):
-        return repr(float(value))
-    if tag == "floatlist":
-        return " ".join(repr(float(v)) for v in value)
-    if tag == "intlist":
-        return " ".join(str(v) for v in value)
-    return str(value)
+    items = value if tag.endswith("list") else [value]
+    return " ".join(repr(float(v)) if "float" in tag else str(v) for v in items)
 
 
 def default_config() -> dict[str, dict[str, Any]]:
@@ -164,7 +252,7 @@ def render_config(config: dict[str, dict[str, Any]]) -> str:
     lines = []
     for section, keys in SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (tag, _) in keys.items():
+        for key, (tag, _, _) in keys.items():
             lines.append(f"{key} = {_render_value(tag, config[section][key])}")
         lines.append("")
     return "\n".join(lines)

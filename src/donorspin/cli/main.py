@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -18,7 +17,8 @@ from typing import Any
 
 import numpy as np
 
-from ..bath import CceParams, LatticeSpec, SECOND_NN_FACTOR, convergence_study, ensemble_echo
+from ..bath import CceParams, LatticeSpec, convergence_study, ensemble_echo
+from ..bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
 from ..fitting import (
     FitResult,
     echo_decay,
@@ -40,8 +40,7 @@ from ..spectra import (
     synthesize_spectrum,
 )
 from ..doublet import level_table
-from ..spin import SpinSystem
-from .config import ConfigError, load_config, render_config
+from .config import ConfigError, load_config, render_config, spin_system, validate
 from .manifest import build_manifest, json_ready, write_manifest
 
 
@@ -65,17 +64,6 @@ def _write_json(path: str, payload: Any) -> None:
         fh.write("\n")
 
 
-def _system_from(config) -> SpinSystem:
-    donor = config["donor"]
-    return SpinSystem(
-        electron_spin=0.5,
-        nuclear_spin=donor["nuclear_spin"],
-        hyperfine_mhz=donor["hyperfine_mhz"],
-        g_factor=donor["g_factor"],
-        nuclear_zeeman_delta=donor["nuclear_zeeman_delta"],
-    )
-
-
 def _out_path(config, name: str) -> str:
     out_dir = config["run"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -88,13 +76,9 @@ def _finish(command: str, config, started: float, outputs: list[str], extra=None
 
 
 def _fit_result_payload(result: FitResult) -> dict[str, Any]:
-    return {
-        "params": result.params,
-        "std_errors": result.std_errors,
-        "residual_norm": result.residual_norm,
-        "converged": result.converged,
-        "n_iterations": result.n_iterations,
-    }
+    payload = dataclasses.asdict(result)
+    del payload["cost_history"]
+    return payload
 
 
 def cmd_print_config(config, args) -> int:
@@ -102,52 +86,30 @@ def cmd_print_config(config, args) -> int:
     return 0
 
 
-def _field_grid(config, name: str) -> np.ndarray:
-    """The b_min_t..b_max_t grid of b_steps fields of config section name."""
-    section = config[name]
-    if section["b_steps"] < 1:
-        raise ConfigError(f"{name}.b_steps: must be at least 1")
-    if not section["b_min_t"] >= 0:
-        raise ConfigError(f"{name}.b_min_t: must not be negative")
-    if not section["b_max_t"] >= section["b_min_t"]:
-        raise ConfigError(f"{name}.b_max_t: must not be below {name}.b_min_t")
+def _field_grid(section) -> np.ndarray:
+    """The b_min_t..b_max_t grid of b_steps fields of a config section."""
     return np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
 
 
 def cmd_levels(config, args) -> int:
     started = time.monotonic()
-    system = _system_from(config)
-    grid = _field_grid(config, "levels")
+    system = spin_system(config)
+    grid = _field_grid(config["levels"])
     table = level_table(system, grid)
     # a state a|+1/2, x> + b|-1/2, y> has concurrence 2|ab| = |sin theta_m|
     concurrences = 2.0 * np.abs(table.up * table.down)
     labels = range(1, system.dimension + 1)
-    header = (
-        ["B_mT"]
-        + [f"E{label}" for label in labels]
-        + [f"C{label}" for label in labels]
-    )
-    rows = (
-        [float(b_field) * 1e3, *energies, *conc]
-        for b_field, energies, conc in zip(grid, table.energies, concurrences)
-    )
+    header = ["B_mT", *(f"E{label}" for label in labels), *(f"C{label}" for label in labels)]
     path = _out_path(config, "levels.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, header, np.column_stack((grid * 1e3, table.energies, concurrences)).tolist())
     _finish("levels", config, started, [path])
     return 0
 
 
 def cmd_resonances(config, args) -> int:
     started = time.monotonic()
-    system = _system_from(config)
+    system = spin_system(config)
     section = config["resonances"]
-    for key in ("frequency_mhz", "fwhm_mt", "grid_step_mt"):
-        if not section[key] > 0:
-            raise ConfigError(f"resonances.{key}: must be positive")
-    if not section["b_min_t"] >= 0:
-        raise ConfigError("resonances.b_min_t: must not be negative")
-    if not section["b_max_t"] > section["b_min_t"]:
-        raise ConfigError("resonances.b_max_t: must be above resonances.b_min_t")
     transitions = find_all_resonances(
         system,
         section["frequency_mhz"],
@@ -161,47 +123,32 @@ def cmd_resonances(config, args) -> int:
     grid = np.linspace(section["b_min_t"], section["b_max_t"], n_points)
     curve = synthesize_spectrum(transitions, section["fwhm_mt"], "derivative", grid)
     csv_path = _out_path(config, "spectrum.csv")
-    _write_csv(
-        csv_path,
-        ["field_t", "signal"],
-        zip((float(b) for b in curve.field_grid), (float(s) for s in curve.signal)),
-    )
+    _write_csv(csv_path, ["field_t", "signal"],
+               zip(curve.field_grid.tolist(), curve.signal.tolist()))
     _finish("resonances", config, started, [json_path, csv_path])
     return 0
 
 
 def cmd_freqmap(config, args) -> int:
     started = time.monotonic()
-    system = _system_from(config)
-    grid = _field_grid(config, "freqmap")
+    system = spin_system(config)
+    grid = _field_grid(config["freqmap"])
     table = frequency_field_map(system, grid, intensity_floor=config["freqmap"]["intensity_floor"])
     path = _out_path(config, "freqmap.csv")
-    _write_csv(
-        path,
-        ["field_t", "freq_mhz", "intensity", "label_upper", "label_lower"],
-        (
-            (float(r["field_b"]), float(r["freq_mhz"]), float(r["intensity"]),
-             int(r["label_upper"]), int(r["label_lower"]))
-            for r in table
-        ),
-    )
+    # the table's fields are the columns, in order
+    _write_csv(path, ["field_t", "freq_mhz", "intensity", "label_upper", "label_lower"],
+               table.tolist())
     _finish("freqmap", config, started, [path])
     return 0
 
 
 def cmd_rabi(config, args) -> int:
     started = time.monotonic()
-    system = _system_from(config)
+    system = spin_system(config)
     section = config["rabi"]
     upper, lower = section["label_upper"], section["label_lower"]
     field = section["field_t"]
-    if not section["f1_mhz"] > 0:
-        raise ConfigError("rabi.f1_mhz: must be positive")
-    in_range = all(1 <= label <= system.dimension for label in (upper, lower))
-    sx = sx_matrix_element(system, upper, lower, field) if in_range else 0.0
-    if sx == 0.0:
-        raise ConfigError(f"rabi.label_upper, rabi.label_lower: {upper} and {lower} must be "
-                          f"labels 1..{system.dimension} one m apart for the drive to couple them")
+    sx = sx_matrix_element(system, upper, lower, field)
     rabi_mhz = rabi_frequency(system, upper, lower, field, section["f1_mhz"])
     payload = {
         "label_upper": upper,
@@ -221,48 +168,29 @@ def cmd_rabi(config, args) -> int:
     return 0
 
 
+def _shell_cutoff_nm(config, shell: int) -> float:
+    """Pair cutoff of neighbour shell 2 or 3 of the cce lattice."""
+    return {2: SECOND_NN_FACTOR, 3: THIRD_NN_FACTOR}[shell] * config["cce"]["a0_nm"]
+
+
 def _cce_params(config) -> CceParams:
     section = config["cce"]
-    shells = {2: SECOND_NN_FACTOR * section["a0_nm"], 3: None}
-    if section["shell"] not in shells:
-        raise ConfigError("cce.shell: must be 2 or 3")
-    if section["n_configs"] < 1:
-        raise ConfigError("cce.n_configs: must be at least 1")
-    if not section["t_max_ms"] > 0:
-        raise ConfigError("cce.t_max_ms: must be positive")
-    if section["t_steps"] < 2:
-        raise ConfigError("cce.t_steps: must be at least 2")
-    for key in ("field_t", "a0_nm"):
-        if not section[key] > 0:
-            raise ConfigError(f"cce.{key}: must be positive")
-    if not 0.0 <= section["abundance"] <= 1.0:
-        raise ConfigError("cce.abundance: must lie in [0, 1]")
-    try:
-        lattice = LatticeSpec(side_nm=section["side_nm"], a0_nm=section["a0_nm"])
-    except ValueError as exc:
-        raise ConfigError(f"cce.side_nm: {exc}") from None
     times = tuple(float(t) for t in np.linspace(0.0, section["t_max_ms"], section["t_steps"]))
     return CceParams(
         transition=(section["label_upper"], section["label_lower"]),
         field_b=section["field_t"],
-        lattice=lattice,
+        lattice=LatticeSpec(side_nm=section["side_nm"], a0_nm=section["a0_nm"]),
         time_grid_ms=times,
         n_configs=section["n_configs"],
         seed=config["run"]["seed"],
-        r_max_nm=shells[section["shell"]],
+        r_max_nm=_shell_cutoff_nm(config, section["shell"]),
         abundance=section["abundance"],
+        system=spin_system(config),
     )
 
 
 def _echo_rows(curve):
-    std = curve.std_of_mean
-    if std is None:
-        std = np.zeros_like(curve.amplitude)
-    return zip(
-        (float(t) for t in curve.times_ms),
-        (float(a) for a in curve.amplitude),
-        (float(s) for s in std),
-    )
+    return zip(curve.times_ms.tolist(), curve.amplitude.tolist(), curve.std_of_mean.tolist())
 
 
 def cmd_cce(config, args) -> int:
@@ -271,28 +199,19 @@ def cmd_cce(config, args) -> int:
     curve = ensemble_echo(params, workers=config["run"]["workers"])
     path = _out_path(config, "echo.csv")
     _write_csv(path, ["time_ms", "amplitude", "std_of_mean"], _echo_rows(curve))
-    extra: dict[str, Any] = {}
-    code = 0
-    if config["cce"]["fit"]:
-        result = fit_echo_decay(curve.times_ms, curve.amplitude)
-        extra["fit"] = _fit_result_payload(result)
-        if not result.converged:
-            code = 1
-    _finish("cce", config, started, [path], extra)
-    return code
+    if not config["cce"]["fit"]:
+        _finish("cce", config, started, [path])
+        return 0
+    result = fit_echo_decay(curve.times_ms, curve.amplitude)
+    _finish("cce", config, started, [path], {"fit": _fit_result_payload(result)})
+    return 0 if result.converged else 1
 
 
 def cmd_cce_converge(config, args) -> int:
     started = time.monotonic()
     params = _cce_params(config)
     section = config["converge"]
-    a0 = config["cce"]["a0_nm"]
-    third_nn = dataclasses.replace(params, r_max_nm=None).pair_cutoff_nm
-    shells = {2: SECOND_NN_FACTOR * a0, 3: third_nn}
-    for shell in section["shells"]:
-        if shell not in shells:
-            raise ConfigError("converge.shells: entries must be 2 or 3")
-    resolved = [shells[shell] for shell in section["shells"]]
+    resolved = [_shell_cutoff_nm(config, shell) for shell in section["shells"]]
     study = convergence_study(params, list(section["sides_nm"]), resolved,
                               workers=config["run"]["workers"])
     paths = []
@@ -331,66 +250,55 @@ def _read_columns(path: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
     return columns
 
 
-def _run_fit(config, fix_delta: float | None):
-    """Dispatch on fit.model; returns (result, x, data, model_curve, x_name, y_name)."""
+# fit.model -> (x, y) columns of its input csv
+_FIT_COLUMNS = {
+    "echo_decay": ("time_ms", "amplitude"),
+    "t1_raman_orbach": ("temp_k", "rate_per_s"),
+    "exp_recovery": ("time_ms", "magnetization"),
+    "gaussian_lines": ("field_t", "signal"),
+}
+
+
+def _run_fit(config):
+    """Dispatch on fit.model; returns (result, x, y, model_curve, x_name, y_name)."""
     section = config["fit"]
     if section["input_csv"] is None:
         raise ConfigError("fit.input_csv: required for the fit command")
     model = section["model"]
+    x_name, y_name = _FIT_COLUMNS[model]
+    data = _read_columns(section["input_csv"], (x_name, y_name))
+    x, y = data[x_name], data[y_name]
     if model == "echo_decay":
-        data = _read_columns(section["input_csv"], ("time_ms", "amplitude"))
-        x, y = data["time_ms"], data["amplitude"]
         result = fit_echo_decay(x, y, free_amplitude=section["free_amplitude"])
         p = result.params
         curve = echo_decay(x, p["amp"], p["T2_ms"], p["TS_ms"], p["n"])
-        return result, x, y, curve, "time_ms", "amplitude"
-    if model == "t1_raman_orbach":
-        data = _read_columns(section["input_csv"], ("temp_k", "rate_per_s"))
-        x, y = data["temp_k"], data["rate_per_s"]
-        result = fit_t1_temperature(x, y, delta_fixed_k=fix_delta)
+    elif model == "t1_raman_orbach":
+        result = fit_t1_temperature(x, y, delta_fixed_k=section["fix_delta_k"])
         p = result.params
         curve = t1_rate(x, p["P"], p["E"], p["Delta_K"])
-        return result, x, y, curve, "temp_k", "rate_per_s"
-    if model == "exp_recovery":
-        data = _read_columns(section["input_csv"], ("time_ms", "magnetization"))
-        x, y = data["time_ms"], data["magnetization"]
+    elif model == "exp_recovery":
         result = fit_exp_recovery(x, y)
         p = result.params
         curve = exp_recovery(x, p["M0"], p["T1_ms"], p["offset"])
-        return result, x, y, curve, "time_ms", "magnetization"
-    if model == "gaussian_lines":
-        data = _read_columns(section["input_csv"], ("field_t", "signal"))
-        x, y = data["field_t"], data["signal"]
+    else:  # gaussian_lines
         result = fit_gaussian_lines(x, y, section["n_lines"], mode=section["mode"])
         p = result.params
-        n_lines = section["n_lines"]
-        centers = [p[f"center_{i}_mt"] for i in range(1, n_lines + 1)]
-        fwhms = [p[f"fwhm_{i}_mt"] for i in range(1, n_lines + 1)]
-        amps = [p[f"amp_{i}"] for i in range(1, n_lines + 1)]
+        lines = range(1, section["n_lines"] + 1)
         shape = gaussian_sum if section["mode"] == "absorption" else gaussian_derivative_sum
-        curve = shape(x * 1e3, centers, fwhms, amps)
-        return result, x, y, curve, "field_t", "signal"
-    raise ConfigError(f"fit.model: unknown model {model!r}")
+        curve = shape(x * 1e3, [p[f"center_{i}_mt"] for i in lines],
+                      [p[f"fwhm_{i}_mt"] for i in lines], [p[f"amp_{i}"] for i in lines])
+    return result, x, y, curve, x_name, y_name
 
 
 def cmd_fit(config, args) -> int:
     started = time.monotonic()
-    fix_delta = args.fix_delta if args.fix_delta is not None else config["fit"]["fix_delta_k"]
-    result, x, y, curve, x_name, y_name = _run_fit(config, fix_delta)
+    result, x, y, curve, x_name, y_name = _run_fit(config)
     json_path = _out_path(config, "fit.json")
     _write_json(json_path, _fit_result_payload(result))
     csv_path = _out_path(config, "fit_residual.csv")
     safe_curve = np.where(np.isfinite(curve), curve, np.nan)
-    _write_csv(
-        csv_path,
-        [x_name, y_name, "model", "residual"],
-        zip(
-            (float(v) for v in x),
-            (float(v) for v in y),
-            (float(v) for v in safe_curve),
-            (float(v) for v in (safe_curve - y)),
-        ),
-    )
+    _write_csv(csv_path, [x_name, y_name, "model", "residual"],
+               np.column_stack((x, y, safe_curve, safe_curve - y)).tolist())
     _finish("fit", config, started, [json_path, csv_path])
     return 0 if result.converged else 1
 
@@ -437,8 +345,9 @@ def main(argv: list[str] | None = None) -> int:
             config["run"]["workers"] = args.workers
         if args.out is not None:
             config["run"]["out_dir"] = args.out
-        if config["run"]["workers"] < 1:
-            raise ConfigError("run.workers: must be at least 1")
+        if getattr(args, "fix_delta", None) is not None:
+            config["fit"]["fix_delta_k"] = args.fix_delta
+        validate(config)
         return _COMMANDS[args.command](config, args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

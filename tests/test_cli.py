@@ -1,17 +1,24 @@
 """End-to-end tests of the command-line surface."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
+import string
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import donorspin
 from donorspin import bell_field, si_bi
-from donorspin.cli import default_config, load_config, render_config
+from donorspin.cli import SCHEMA, default_config, load_config, render_config
 from donorspin.cli.main import main
 from donorspin.cli.manifest import file_sha256
 
@@ -171,6 +178,13 @@ def test_cce_seed_changes_output(tmp_path):
     assert (tmp_path / "s1" / "echo.csv").read_bytes() != (tmp_path / "s2" / "echo.csv").read_bytes()
 
 
+def test_cce_uses_the_configured_donor(tmp_path):
+    for sub, donor in (("bi", ""), ("a", "[donor]\nhyperfine_mhz = 117.52\n")):
+        cfg = write_config(tmp_path, CCE_SMALL + donor)
+        assert run_cli("cce", "--config", cfg, "--out", str(tmp_path / sub), "--seed", "11") == 0
+    assert (tmp_path / "bi" / "echo.csv").read_bytes() != (tmp_path / "a" / "echo.csv").read_bytes()
+
+
 def test_cce_chained_fit_in_manifest(tmp_path):
     cfg = write_config(tmp_path, "[cce]\nside_nm = 10.0\nn_configs = 4\nt_steps = 21\n")
     code = run_cli("cce", "--config", cfg, "--out", str(tmp_path), "--seed", "2024")
@@ -305,6 +319,20 @@ def test_rabi_labels_not_one_m_apart_is_usage_error(tmp_path, capsys):
         ("cce", "cce", "side_nm", "0"),
         ("cce", "cce", "a0_nm", "0"),
         ("cce", "cce", "abundance", "1.5"),
+        ("levels", "levels", "b_max_t", "inf"),
+        ("cce", "cce", "t_max_ms", "nan"),
+        ("resonances", "resonances", "frequency_mhz", "inf"),
+        ("levels", "donor", "g_factor", "-2"),
+        ("levels", "donor", "nuclear_spin", "4.3"),
+        ("levels", "donor", "hyperfine_mhz", "0"),
+        ("resonances", "resonances", "intensity_floor", "-1"),
+        ("rabi", "rabi", "field_t", "-1"),
+        ("cce-converge", "converge", "sides_nm", "1 7"),
+        ("cce-converge", "converge", "sides_nm", ""),
+        ("cce-converge", "converge", "shells", ""),
+        ("cce", "cce", "label_upper", "30"),
+        ("fit", "fit", "n_lines", "0"),
+        ("fit", "fit", "mode", "foo"),
     ],
 )
 def test_out_of_range_value_is_usage_error(tmp_path, capsys, command, section, key, value):
@@ -342,3 +370,120 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "[run]" in proc.stdout
+
+
+def test_equal_cce_labels_are_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[cce]\nlabel_upper = 10\nlabel_lower = 10\n")
+    out = tmp_path / "out"
+    assert run_cli("cce", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "cce.label_upper" in err and "cce.label_lower" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+FLOAT_TAGS = ("float", "optfloat", "floatlist")
+INT_TAGS = ("int", "intlist")
+FINITE = {"allow_nan": False, "allow_infinity": False}
+
+# bound -> values that break it, by kind; a bound missing here fails the tests below
+FLOATS_OUTSIDE = {
+    None: st.nothing(),
+    "> 0": st.floats(max_value=0.0, **FINITE),
+    ">= 0": st.floats(max_value=0.0, exclude_max=True, **FINITE),
+    "in [0, 1]": st.floats(max_value=0.0, exclude_max=True, **FINITE)
+    | st.floats(min_value=1.0, exclude_min=True, **FINITE),
+    "half-integer >= 1/2": st.floats(max_value=0.5, exclude_max=True, **FINITE)
+    | st.floats(0.5, 1e3).filter(lambda v: 2 * v != math.floor(2 * v)),
+}
+INTS_OUTSIDE = {">= 1": st.integers(max_value=0), ">= 2": st.integers(max_value=1)}
+
+# bound -> values that keep it, by kind
+FLOATS_INSIDE = {
+    None: st.floats(**FINITE),
+    "> 0": st.floats(min_value=0.0, exclude_min=True, **FINITE),
+    ">= 0": st.floats(min_value=0.0, **FINITE),
+    "in [0, 1]": st.floats(0.0, 1.0),
+    "half-integer >= 1/2": st.integers(1, 40).map(lambda n: n / 2),
+}
+INTS_INSIDE = {None: st.integers(), ">= 1": st.integers(min_value=1), ">= 2": st.integers(min_value=2)}
+TEXT = st.text(string.ascii_letters + string.digits + "/._-", min_size=1, max_size=20)
+
+
+def _scalar(tag, bound, inside):
+    if isinstance(bound, tuple):
+        if inside:
+            return st.sampled_from(bound)
+        return st.integers(-50, 50).filter(lambda v: v not in bound)
+    if tag in FLOAT_TAGS:
+        if inside:
+            return FLOATS_INSIDE[bound]
+        return FLOATS_OUTSIDE[bound] | st.sampled_from([math.nan, math.inf, -math.inf])
+    return (INTS_INSIDE if inside else INTS_OUTSIDE)[bound]
+
+
+def _rendered(tag, values) -> str:
+    return " ".join(repr(float(v)) if tag in FLOAT_TAGS else str(v) for v in values)
+
+
+NUMERIC_KEYS = [
+    (section, key)
+    for section, keys in SCHEMA.items()
+    for key, (tag, _, bound) in keys.items()
+    if tag in FLOAT_TAGS or (tag in INT_TAGS and bound is not None)
+]
+
+
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_value_outside_its_bound_is_usage_error(section, key, data):
+    tag, _, bound = SCHEMA[section][key]
+    bad = _scalar(tag, bound, inside=False)
+    if tag.endswith("list"):
+        good = st.lists(_scalar(tag, bound, inside=True), max_size=2)
+        values = data.draw(st.just([]) | st.tuples(good, bad, good).map(
+            lambda parts: [*parts[0], parts[1], *parts[2]]))
+    else:
+        values = [data.draw(bad)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.ini")
+        with open(cfg, "w") as fh:
+            fh.write(f"[{section}]\n{key} = {_rendered(tag, values)}\n")
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli("levels", "--config", cfg, "--out", out) == 2
+        assert f"{section}.{key}" in err.getvalue()
+        assert not os.path.exists(out)
+
+
+def _in_bound_value(tag, bound):
+    if tag == "bool":
+        return st.booleans()
+    if tag == "str":
+        return st.sampled_from(bound) if bound else TEXT
+    if tag == "optstr":
+        return st.none() | TEXT
+    if tag == "optfloat":
+        return st.none() | _scalar(tag, bound, inside=True)
+    if tag.endswith("list"):
+        return st.lists(_scalar(tag, bound, inside=True), min_size=1, max_size=4).map(tuple)
+    return _scalar(tag, bound, inside=True)
+
+
+IN_BOUND_CONFIGS = st.fixed_dictionaries({
+    section: st.fixed_dictionaries({
+        key: _in_bound_value(tag, bound) for key, (tag, _, bound) in keys.items()
+    })
+    for section, keys in SCHEMA.items()
+})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config=IN_BOUND_CONFIGS)
+def test_in_bound_config_round_trips(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w") as fh:
+            fh.write(render_config(config))
+        assert load_config(path) == config

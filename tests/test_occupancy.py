@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from donorspin.bath import LatticeSpec, generate_lattice, occupy
 
@@ -43,6 +45,22 @@ def test_order_independence():
     assert _position_set(occupy(sites, 0.0467, seed=3)) == _position_set(
         occupy(shuffled, 0.0467, seed=3)
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    side_nm=st.sampled_from([1.2, 2.0, 3.0]),
+    seed=st.integers(0, 2**64),
+    abundance=st.floats(0.0, 1.0),
+    order_seed=st.integers(0, 2**32 - 1),
+)
+def test_occupancy_unchanged_under_random_permutation(side_nm, seed, abundance, order_seed):
+    sites = generate_lattice(LatticeSpec(side_nm=side_nm))
+    order = np.random.default_rng(order_seed).permutation(len(sites))
+    direct = occupy(sites, abundance, seed=seed)
+    shuffled = occupy(sites[order], abundance, seed=seed)
+    assert len(shuffled.positions) == len(direct.positions)
+    assert _position_set(shuffled) == _position_set(direct)
 
 
 def test_common_random_numbers_across_sizes():
