@@ -12,7 +12,7 @@ from .ensemble import (
     ensemble_echo,
 )
 from .lattice import LatticeSpec, generate_lattice
-from .occupancy import BathConfiguration, occupy
+from .occupancy import BathConfiguration, occupied_positions, occupy
 
 __all__ = [
     "BathConfiguration",
@@ -30,6 +30,7 @@ __all__ = [
     "ensemble_echo",
     "enumerate_pairs",
     "generate_lattice",
+    "occupied_positions",
     "occupy",
     "pair_echo",
     "superhyperfine_j",

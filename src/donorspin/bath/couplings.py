@@ -11,7 +11,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..constants import CONSTANTS, BI_G_FACTOR, SI_LATTICE_NM
 
@@ -117,19 +116,30 @@ def dipolar_b(
     return float(out[0]) if np.ndim(pos_k) == 1 and np.ndim(pos_l) == 1 else out
 
 
+def _kd_tree_class():
+    """scipy's cKDTree, imported on first use so that commands without a
+    bath never load scipy."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree
+
+
 def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
     """All index pairs with separation <= r_max, sorted, as a (P, 2) array.
 
-    Membership uses the squared distance with a small absolute slack so
-    shell-radius cutoffs (exact lattice distances) are inclusive.
+    Membership is d2 <= r_max^2 + PAIR_D2_TOL_NM2 on the squared distance,
+    so shell-radius cutoffs (exact lattice distances) are inclusive; the
+    tree search radius covers that slack, so filtering the pairs of a
+    larger cutoff by the same rule gives exactly the pairs of a smaller one.
     """
     if r_max_nm <= 0:
         raise ValueError("pair cutoff must be positive")
     pos = np.asarray(positions, dtype=float)
     if len(pos) < 2:
         return np.empty((0, 2), dtype=np.intp)
-    tree = cKDTree(pos)
-    pairs = tree.query_pairs(r_max_nm * (1.0 + 1e-9) + 1e-12, output_type="ndarray")
+    tree = _kd_tree_class()(pos)
+    radius = math.sqrt(r_max_nm * r_max_nm + PAIR_D2_TOL_NM2) * (1.0 + 1e-9)
+    pairs = tree.query_pairs(radius, output_type="ndarray")
     if len(pairs) == 0:
         return np.empty((0, 2), dtype=np.intp)
     d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=1)

@@ -10,10 +10,17 @@ import numpy as np
 
 from ..constants import SI29_ABUNDANCE
 from ..spin import SpinSystem, diagonalize, expectation_sz, si_bi
-from .couplings import KohnLuttingerModel, dipolar_b, enumerate_pairs, superhyperfine_j
+from .couplings import (
+    PAIR_D2_TOL_NM2,
+    KohnLuttingerModel,
+    dipolar_b,
+    enumerate_pairs,
+    superhyperfine_j,
+    _kd_tree_class,
+)
 from .echo import EchoCurve, cce2_echo
-from .lattice import LatticeSpec, generate_lattice
-from .occupancy import BathConfiguration, occupy
+from .lattice import LatticeSpec
+from .occupancy import BathConfiguration, occupied_positions
 
 # exact neighbor-shell radii of the diamond lattice, in units of a0
 SECOND_NN_FACTOR = math.sqrt(2.0) / 2.0
@@ -54,29 +61,28 @@ class CceParams:
         return THIRD_NN_FACTOR * self.lattice.a0_nm
 
 
+def _coupled_sites(params: CceParams, config_index: int) -> BathConfiguration:
+    """Occupied sites of placement config_index with their couplings J."""
+    seed = params.seed + config_index
+    positions = occupied_positions(params.lattice, params.abundance, seed)
+    couplings = superhyperfine_j(positions, params.model)
+    return BathConfiguration(seed=seed, positions=positions, couplings_j=couplings)
+
+
+def _with_pairs(
+    config: BathConfiguration, pairs: np.ndarray, params: CceParams
+) -> BathConfiguration:
+    """The configuration with these pairs and their dipolar couplings b."""
+    pos = config.positions
+    direction = np.asarray(params.b_direction, dtype=float)
+    b = np.asarray(dipolar_b(pos[pairs[:, 0]], pos[pairs[:, 1]], direction))
+    return dataclasses.replace(config, pair_indices=pairs, pair_b=b)
+
+
 def build_configuration(params: CceParams, config_index: int) -> BathConfiguration:
     """Fully coupled bath placement number config_index (seeded seed + index)."""
-    sites = generate_lattice(params.lattice)
-    config = occupy(
-        sites, params.abundance, params.seed + config_index, params.lattice.a0_nm
-    )
-    if len(config.positions) == 0:
-        return config
-    couplings = superhyperfine_j(config.positions, params.model)
-    pairs = enumerate_pairs(config.positions, params.pair_cutoff_nm)
-    if len(pairs) == 0:
-        b = np.empty(0)
-    else:
-        b = np.asarray(
-            dipolar_b(
-                config.positions[pairs[:, 0]],
-                config.positions[pairs[:, 1]],
-                np.asarray(params.b_direction, dtype=float),
-            )
-        )
-    return dataclasses.replace(
-        config, couplings_j=couplings, pair_indices=pairs, pair_b=b
-    )
+    config = _coupled_sites(params, config_index)
+    return _with_pairs(config, enumerate_pairs(config.positions, params.pair_cutoff_nm), params)
 
 
 def _donor_levels(params: CceParams) -> tuple[float, float]:
@@ -88,13 +94,38 @@ def _donor_levels(params: CceParams) -> tuple[float, float]:
     return s_a, s_b
 
 
-def _config_amplitude(args: tuple[CceParams, int, float, float]) -> np.ndarray:
-    params, index, s_a, s_b = args
-    config = build_configuration(params, index)
+def _config_curves(
+    args: tuple[CceParams, int, tuple[float, ...], float, float],
+) -> list[np.ndarray]:
+    """Echo amplitude of one placement, one curve per pair cutoff.
+
+    The sites and J are built once; pairs are enumerated once at the
+    largest cutoff and filtered by squared distance for each cutoff, which
+    keeps them sorted and gives exactly the pairs `enumerate_pairs` finds
+    at that cutoff.
+    """
+    params, index, cutoffs, s_a, s_b = args
     times = np.asarray(params.time_grid_ms, dtype=float)
-    if config.couplings_j is None:
-        return np.ones_like(times)
-    return cce2_echo(config, s_a, s_b, times).amplitude
+    config = _coupled_sites(params, index)
+    pos = config.positions
+    pairs = enumerate_pairs(pos, max(cutoffs))
+    d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=1)
+    return [
+        cce2_echo(_with_pairs(config, pairs[d2 <= r * r + PAIR_D2_TOL_NM2], params),
+                  s_a, s_b, times).amplitude
+        for r in cutoffs
+    ]
+
+
+def _mean_curve(curves: list[np.ndarray], times: np.ndarray) -> EchoCurve:
+    """Mean over configurations in order, with the standard deviation of the mean."""
+    stack = np.stack(curves)
+    mean = np.mean(stack, axis=0)
+    if len(curves) > 1:
+        std_of_mean = np.std(stack, axis=0, ddof=1) / math.sqrt(len(curves))
+    else:
+        std_of_mean = np.zeros_like(mean)
+    return EchoCurve(times_ms=times, amplitude=mean, std_of_mean=std_of_mean)
 
 
 def ensemble_echo(params: CceParams, workers: int = 1) -> EchoCurve:
@@ -105,21 +136,8 @@ def ensemble_echo(params: CceParams, workers: int = 1) -> EchoCurve:
     the stacked curves in configuration order, so results are independent
     of the worker count.
     """
-    s_a, s_b = _donor_levels(params)
-    tasks = [(params, i, s_a, s_b) for i in range(params.n_configs)]
-    if workers > 1 and params.n_configs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            curves = list(pool.map(_config_amplitude, tasks))
-    else:
-        curves = [_config_amplitude(task) for task in tasks]
-    stack = np.stack(curves)
-    mean = np.mean(stack, axis=0)
-    if params.n_configs > 1:
-        std_of_mean = np.std(stack, axis=0, ddof=1) / math.sqrt(params.n_configs)
-    else:
-        std_of_mean = np.zeros_like(mean)
-    times = np.asarray(params.time_grid_ms, dtype=float)
-    return EchoCurve(times_ms=times, amplitude=mean, std_of_mean=std_of_mean)
+    side, cutoff = params.lattice.side_nm, params.pair_cutoff_nm
+    return convergence_study(params, [side], [cutoff], workers).curves[(side, cutoff)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,6 +146,7 @@ class ConvergenceResult:
 
     curves: dict[tuple[float, float], EchoCurve]
     distances: dict[float, tuple[float, ...]]   # r_max -> one entry per side step
+    workers_used: int = 1                       # processes the run started; 1 if serial
 
 
 def convergence_study(
@@ -138,26 +157,43 @@ def convergence_study(
 ) -> ConvergenceResult:
     """Ensemble echo for every (side, r_max) plus convergence distances.
 
-    For each r_max the distances tuple holds sup-norm differences between
-    ensemble curves of successive sides in the given order.
+    Every (side, configuration) is one task, run through one process pool
+    of at most `workers` processes: each task occupies its own side's
+    cube and serves every cutoff. Curves are means in configuration
+    order, so they do not depend on the worker count. For each r_max the
+    distances tuple holds sup-norm differences between ensemble curves of
+    successive sides in the given order.
     """
     if not side_list_nm or not r_max_list_nm:
         raise ValueError("side and cutoff lists must be non-empty")
+    sides = list(dict.fromkeys(side_list_nm))
+    cutoffs = tuple(dict.fromkeys(r_max_list_nm))
+    s_a, s_b = _donor_levels(params)
+    tasks = [
+        (dataclasses.replace(params, lattice=dataclasses.replace(params.lattice, side_nm=side)),
+         index, cutoffs, s_a, s_b)
+        for side in sides
+        for index in range(params.n_configs)
+    ]
+    pool_size = max(1, min(workers, len(tasks)))
+    if pool_size > 1:
+        _kd_tree_class()  # import scipy once here rather than in every forked worker
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            per_task = list(pool.map(_config_curves, tasks))
+    else:
+        per_task = [_config_curves(task) for task in tasks]
+
+    times = np.asarray(params.time_grid_ms, dtype=float)
     curves: dict[tuple[float, float], EchoCurve] = {}
-    distances: dict[float, tuple[float, ...]] = {}
-    for r_max in r_max_list_nm:
-        steps = []
-        previous = None
-        for side in side_list_nm:
-            run = dataclasses.replace(
-                params,
-                lattice=dataclasses.replace(params.lattice, side_nm=side),
-                r_max_nm=r_max,
-            )
-            curve = ensemble_echo(run, workers=workers)
-            curves[(side, r_max)] = curve
-            if previous is not None:
-                steps.append(float(np.max(np.abs(curve.amplitude - previous))))
-            previous = curve.amplitude
-        distances[r_max] = tuple(steps)
-    return ConvergenceResult(curves=curves, distances=distances)
+    for s, side in enumerate(sides):
+        configs = per_task[s * params.n_configs:(s + 1) * params.n_configs]
+        for c, r_max in enumerate(cutoffs):
+            curves[(side, r_max)] = _mean_curve([curve[c] for curve in configs], times)
+    distances = {
+        r_max: tuple(
+            float(np.max(np.abs(curves[(b, r_max)].amplitude - curves[(a, r_max)].amplitude)))
+            for a, b in zip(side_list_nm, side_list_nm[1:])
+        )
+        for r_max in cutoffs
+    }
+    return ConvergenceResult(curves=curves, distances=distances, workers_used=pool_size)

@@ -5,7 +5,13 @@ where the canonical index packs the site's donor-relative coordinates on
 the quarter-cell integer grid. Occupancy therefore does not depend on
 enumeration order or worker count, and a site keeps its decision when the
 cube is enlarged, which gives common random numbers across lattice sizes
-in convergence studies.
+in convergence studies (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11).
+
+`occupied_positions` draws the same decisions straight from the integer
+lattice, one x-plane of cells at a time, and keeps only the occupied
+sites; `occupy` applies them to an explicit site array and is the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -15,11 +21,13 @@ import dataclasses
 import numpy as np
 
 from ..constants import SI29_ABUNDANCE, SI_LATTICE_NM
+from .lattice import _BASIS, LatticeSpec
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _COORD_OFFSET = np.int64(1 << 20)  # shifts quarter-grid coordinates positive
+_BASIS_QUARTERS = np.rint(4 * _BASIS).astype(np.int64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,13 +62,30 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _site_keys(positions: np.ndarray, a0_nm: float) -> np.ndarray:
-    """Canonical uint64 index per site from quarter-grid coordinates."""
-    q = np.rint(positions * (4.0 / a0_nm)).astype(np.int64)
+def _pack_keys(q: np.ndarray) -> np.ndarray:
+    """Canonical uint64 index per site from (N, 3) quarter-grid coordinates."""
     if np.any(np.abs(q) >= _COORD_OFFSET):
         raise ValueError("lattice too large for the coordinate key")
     shifted = (q + _COORD_OFFSET).astype(np.uint64)
     return shifted[:, 0] | (shifted[:, 1] << np.uint64(21)) | (shifted[:, 2] << np.uint64(42))
+
+
+_DONOR_KEY = _pack_keys(np.zeros((1, 3), dtype=np.int64))[0]
+
+
+def _site_keys(positions: np.ndarray, a0_nm: float) -> np.ndarray:
+    """Canonical uint64 index per site from donor-relative positions (nm)."""
+    return _pack_keys(np.rint(positions * (4.0 / a0_nm)).astype(np.int64))
+
+
+def _chosen(keys: np.ndarray, abundance: float, seed: int) -> np.ndarray:
+    """Occupation decision of each keyed site; the donor is never chosen."""
+    if not 0.0 <= abundance <= 1.0:
+        raise ValueError("abundance must lie in [0, 1]")
+    seed_mixed = _mix64(np.array([seed % (1 << 64)], dtype=np.uint64))[0]
+    stream = _mix64(seed_mixed ^ keys)
+    uniform = (stream >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (uniform < abundance) & (keys != _DONOR_KEY)
 
 
 def occupy(
@@ -74,13 +99,37 @@ def occupy(
     The donor site (the origin) is never occupied. Bit-exact across
     platforms: decisions use integer hashing only.
     """
-    if not 0.0 <= abundance <= 1.0:
-        raise ValueError("abundance must lie in [0, 1]")
     sites = np.asarray(sites, dtype=float)
-    keys = _site_keys(sites, a0_nm)
-    seed_mixed = _mix64(np.array([seed % (1 << 64)], dtype=np.uint64))[0]
-    stream = _mix64(seed_mixed ^ keys)
-    uniform = (stream >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    chosen = uniform < abundance
-    chosen &= keys != _site_keys(np.zeros((1, 3)), a0_nm)[0]  # exclude the donor
+    chosen = _chosen(_site_keys(sites, a0_nm), abundance, seed)
     return BathConfiguration(seed=seed, positions=sites[chosen].copy())
+
+
+def occupied_positions(
+    spec: LatticeSpec, abundance: float = SI29_ABUNDANCE, seed: int = 0
+) -> np.ndarray:
+    """Donor-relative positions (nm) of the occupied sites of the cube.
+
+    Bit for bit `occupy(generate_lattice(spec), abundance, seed,
+    spec.a0_nm).positions`: the same sites in the same cell-major,
+    basis-minor order, without the full site array. The cube is walked
+    one x-plane of cells at a time on integer quarter-grid coordinates;
+    a plane's keys are the first plane's plus 4 per cell step in x, since
+    x fills the low bits of the key and never carries.
+    """
+    n = spec.cells_per_axis
+    # the donor is the site nearest the centre (2n quarter steps in on each
+    # axis), ties to the lexicographically first: the centre itself for
+    # even n, 2n - 1 on every axis for odd n. Either way no site of the
+    # cube is more than 2n quarter steps from it along any axis.
+    donor = 2 * n - n % 2
+    if 2 * n >= _COORD_OFFSET:
+        raise ValueError("lattice too large for the coordinate key")
+    plane = np.indices((1, n, n)).reshape(3, -1).T
+    q0 = (4 * plane[:, None, :] + _BASIS_QUARTERS[None, :, :]).reshape(-1, 3) - donor
+    keys0 = _pack_keys(q0)
+    chunks = []
+    for i in range(n):
+        q = q0[_chosen(keys0 + np.uint64(4 * i), abundance, seed)]
+        q[:, 0] += 4 * i
+        chunks.append(q)
+    return np.concatenate(chunks) * (spec.a0_nm / 4.0)

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from ..bath import CceParams, LatticeSpec, convergence_study, ensemble_echo
+from ..bath import CceParams, LatticeSpec, convergence_study
 from ..bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
 from ..fitting import (
     FitResult,
@@ -44,18 +44,12 @@ from .config import ConfigError, load_config, render_config, spin_system, valida
 from .manifest import build_manifest, json_ready, write_manifest
 
 
-def _format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        # plain-float repr is the shortest digits that round-trip the bits
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Rows of Python ints and floats (from `.tolist()`); a float's repr
+    is the shortest digits that round-trip its bits."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(value) for value in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_json(path: str, payload: Any) -> None:
@@ -196,14 +190,19 @@ def _echo_rows(curve):
 def cmd_cce(config, args) -> int:
     started = time.monotonic()
     params = _cce_params(config)
-    curve = ensemble_echo(params, workers=config["run"]["workers"])
+    # the one-side, one-shell case of a convergence study
+    key = (params.lattice.side_nm, params.pair_cutoff_nm)
+    study = convergence_study(params, [key[0]], [key[1]], workers=config["run"]["workers"])
+    curve = study.curves[key]
     path = _out_path(config, "echo.csv")
     _write_csv(path, ["time_ms", "amplitude", "std_of_mean"], _echo_rows(curve))
+    extra = {"workers_used": study.workers_used}
     if not config["cce"]["fit"]:
-        _finish("cce", config, started, [path])
+        _finish("cce", config, started, [path], extra)
         return 0
     result = fit_echo_decay(curve.times_ms, curve.amplitude)
-    _finish("cce", config, started, [path], {"fit": _fit_result_payload(result)})
+    extra["fit"] = _fit_result_payload(result)
+    _finish("cce", config, started, [path], extra)
     return 0 if result.converged else 1
 
 
@@ -225,7 +224,8 @@ def cmd_cce_converge(config, args) -> int:
         str(shell): list(study.distances[r_max])
         for shell, r_max in zip(section["shells"], resolved)
     }
-    _finish("cce-converge", config, started, paths, {"distances": distances})
+    _finish("cce-converge", config, started, paths,
+            {"distances": distances, "workers_used": study.workers_used})
     return 0
 
 

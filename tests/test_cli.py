@@ -372,6 +372,46 @@ def test_python_dash_m_runs_the_cli():
     assert "[run]" in proc.stdout
 
 
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(donorspin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, donorspin.cli.main; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cce_converge_workers_byte_identical(tmp_path):
+    # 2 sides x 2 configs: three workers split the four tasks unevenly
+    cfg = write_config(
+        tmp_path,
+        "[cce]\nn_configs = 2\nt_steps = 9\n[converge]\nsides_nm = 5.5 7.0\nshells = 2 3\n",
+    )
+    outputs = {}
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        assert run_cli("cce-converge", "--config", cfg, "--out", str(out),
+                       "--seed", "5", "--workers", workers) == 0
+        outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.glob("echo*.csv"))}
+        manifest = json.loads((out / "cce-converge_manifest.json").read_text())
+        assert manifest["workers_used"] == int(workers)
+    assert len(outputs["1"]) == 4
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+
+
+def test_cce_manifest_records_workers_used(tmp_path):
+    # two configs never need more than two processes
+    cfg = write_config(tmp_path, CCE_SMALL.replace("n_configs = 4", "n_configs = 2"))
+    for workers, used in (("1", 1), ("4", 2)):
+        out = tmp_path / f"w{workers}"
+        assert run_cli("cce", "--config", cfg, "--out", str(out), "--workers", workers) == 0
+        manifest = json.loads((out / "cce_manifest.json").read_text())
+        assert manifest["workers_used"] == used
+
+
 def test_equal_cce_labels_are_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "[cce]\nlabel_upper = 10\nlabel_lower = 10\n")
     out = tmp_path / "out"

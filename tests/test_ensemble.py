@@ -7,15 +7,20 @@ import pytest
 
 from donorspin import diagonalize, expectation_sz, si_bi
 from donorspin.bath import (
+    BathConfiguration,
     CceParams,
     LatticeSpec,
     build_configuration,
     cce2_echo,
     convergence_study,
+    dipolar_b,
     ensemble_echo,
+    enumerate_pairs,
     occupy,
     generate_lattice,
+    superhyperfine_j,
 )
+from donorspin.bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
 
 TIMES = tuple(np.linspace(0.0, 1.0, 21))
 
@@ -107,6 +112,14 @@ def test_convergence_study_bookkeeping():
         convergence_study(params, [], [r2])
 
 
+def test_empty_bath_is_fully_coupled_and_does_not_decay():
+    params = _params(abundance=0.0, n_configs=2)
+    config = build_configuration(params, 0)
+    assert config.positions.shape == (0, 3)
+    assert len(config.couplings_j) == len(config.pair_indices) == len(config.pair_b) == 0
+    assert np.all(ensemble_echo(params).amplitude == 1.0)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         _params(n_configs=0)
@@ -123,3 +136,43 @@ def test_params_validation():
 def test_stretched_level_has_exact_sz():
     es = diagonalize(si_bi(), 0.3446)
     assert expectation_sz(es, 10) == pytest.approx(-0.5, abs=1e-12)
+
+
+def _oracle_curve(params, side, r_max, s_a, s_b):
+    """Mean, in config order, of cce2_echo over configs built from the full lattice."""
+    spec = dataclasses.replace(params.lattice, side_nm=side)
+    sites = generate_lattice(spec)
+    curves = []
+    for i in range(params.n_configs):
+        pos = occupy(sites, params.abundance, params.seed + i, spec.a0_nm).positions
+        pairs = enumerate_pairs(pos, r_max)
+        b = dipolar_b(pos[pairs[:, 0]], pos[pairs[:, 1]], np.asarray(params.b_direction))
+        config = BathConfiguration(
+            seed=params.seed + i, positions=pos, couplings_j=superhyperfine_j(pos, params.model),
+            pair_indices=pairs, pair_b=b,
+        )
+        curves.append(cce2_echo(config, s_a, s_b, np.asarray(TIMES)).amplitude)
+    return np.mean(np.stack(curves), axis=0)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_convergence_study_matches_full_lattice_oracle(workers):
+    params = _params(n_configs=3)
+    # 7 nm holds 12 cells (even), 14 nm holds 25 (odd)
+    sides = [7.0, 14.0]
+    assert [dataclasses.replace(params.lattice, side_nm=s).cells_per_axis for s in sides] == [12, 25]
+    cutoffs = [SECOND_NN_FACTOR * 0.543, THIRD_NN_FACTOR * 0.543]
+    study = convergence_study(params, sides, cutoffs, workers=workers)
+    assert study.workers_used == min(workers, len(sides) * params.n_configs)
+    es = diagonalize(params.system, params.field_b)
+    s_a, s_b = expectation_sz(es, 11), expectation_sz(es, 10)
+    for side in sides:
+        for r_max in cutoffs:
+            want = _oracle_curve(params, side, r_max, s_a, s_b)
+            assert np.array_equal(study.curves[(side, r_max)].amplitude, want)
+
+
+def test_pool_is_sized_to_the_work():
+    assert convergence_study(_params(n_configs=2), [3.0], [0.4], workers=4).workers_used == 2
+    assert convergence_study(_params(n_configs=2), [3.0], [0.4], workers=1).workers_used == 1
+    assert convergence_study(_params(n_configs=1), [3.0], [0.4], workers=4).workers_used == 1

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from donorspin.bath import LatticeSpec, generate_lattice, occupy
+from donorspin.bath import LatticeSpec, generate_lattice, occupied_positions, occupy
 
 A0 = 0.543
 
@@ -87,3 +87,29 @@ def test_positions_are_read_only():
     config = occupy(sites, 0.5, seed=0)
     with pytest.raises(ValueError):
         config.positions[0, 0] = 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    cells=st.integers(2, 40),
+    a0_nm=st.sampled_from([A0, 0.5, 0.61]),
+    seed=st.integers(0, 2**64 - 1),
+    abundance=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+)
+@example(cells=39, a0_nm=0.5, seed=2**64 - 1, abundance=0.0467)
+@example(cells=40, a0_nm=0.61, seed=0, abundance=1.0)
+def test_streamed_occupancy_equals_occupy_of_the_full_lattice(cells, a0_nm, seed, abundance):
+    spec = LatticeSpec(side_nm=(cells + 0.5) * a0_nm, a0_nm=a0_nm)
+    assert spec.cells_per_axis == cells
+    direct = occupy(generate_lattice(spec), abundance, seed, a0_nm).positions
+    streamed = occupied_positions(spec, abundance, seed)
+    assert streamed.shape == direct.shape
+    assert streamed.tobytes() == direct.tobytes()
+
+
+def test_streamed_occupancy_checks_its_inputs():
+    with pytest.raises(ValueError, match="abundance"):
+        occupied_positions(LatticeSpec(side_nm=3.0), 1.5, seed=0)
+    # 2^19 cells per axis: rejected before any plane is built
+    with pytest.raises(ValueError, match="too large"):
+        occupied_positions(LatticeSpec(side_nm=A0 * (2**19 + 0.5)), 0.05, seed=0)
