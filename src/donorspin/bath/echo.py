@@ -112,6 +112,16 @@ def pair_echo(
     )[:, 0]
 
 
+def _pair_factors(
+    config: BathConfiguration, s_a: float, s_b: float, times_ms: np.ndarray
+) -> np.ndarray:
+    """(T, P) echoes of the configuration's pairs, J gathered by pair."""
+    if config.couplings_j is None or config.pair_indices is None or config.pair_b is None:
+        raise ValueError("configuration lacks couplings; build it with build_configuration")
+    j = config.couplings_j[config.pair_indices]
+    return _pair_amplitudes(j[:, 0], j[:, 1], config.pair_b, s_a, s_b, times_ms)
+
+
 def cce2_echo(
     config: BathConfiguration,
     s_a: float,
@@ -123,14 +133,9 @@ def cce2_echo(
 
     s_a, s_b are the <Sz> values of the two donor levels of the probed
     transition; f_z_mhz drops out exactly, as in pair_echo. The
-    configuration must carry couplings and pairs.
+    configuration must carry couplings and pairs; with no pairs the echo
+    is exactly 1.
     """
-    if config.couplings_j is None or config.pair_indices is None or config.pair_b is None:
-        raise ValueError("configuration lacks couplings; build it with build_configuration")
     times = np.asarray(times_ms, dtype=float)
-    if len(config.pair_indices) == 0:
-        return EchoCurve(times_ms=times, amplitude=np.ones_like(times))
-    j_k = config.couplings_j[config.pair_indices[:, 0]]
-    j_l = config.couplings_j[config.pair_indices[:, 1]]
-    amplitudes = _pair_amplitudes(j_k, j_l, config.pair_b, s_a, s_b, times)
-    return EchoCurve(times_ms=times, amplitude=np.prod(amplitudes, axis=1))
+    amplitude = np.prod(_pair_factors(config, s_a, s_b, times), axis=1)
+    return EchoCurve(times_ms=times, amplitude=amplitude)

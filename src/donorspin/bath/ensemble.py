@@ -18,7 +18,7 @@ from .couplings import (
     superhyperfine_j,
     _kd_tree_class,
 )
-from .echo import EchoCurve, cce2_echo
+from .echo import EchoCurve, _pair_factors
 from .lattice import LatticeSpec
 from .occupancy import BathConfiguration, occupied_positions
 
@@ -61,28 +61,21 @@ class CceParams:
         return THIRD_NN_FACTOR * self.lattice.a0_nm
 
 
-def _coupled_sites(params: CceParams, config_index: int) -> BathConfiguration:
-    """Occupied sites of placement config_index with their couplings J."""
-    seed = params.seed + config_index
-    positions = occupied_positions(params.lattice, params.abundance, seed)
-    couplings = superhyperfine_j(positions, params.model)
-    return BathConfiguration(seed=seed, positions=positions, couplings_j=couplings)
-
-
-def _with_pairs(
-    config: BathConfiguration, pairs: np.ndarray, params: CceParams
-) -> BathConfiguration:
-    """The configuration with these pairs and their dipolar couplings b."""
-    pos = config.positions
-    direction = np.asarray(params.b_direction, dtype=float)
-    b = np.asarray(dipolar_b(pos[pairs[:, 0]], pos[pairs[:, 1]], direction))
-    return dataclasses.replace(config, pair_indices=pairs, pair_b=b)
-
-
 def build_configuration(params: CceParams, config_index: int) -> BathConfiguration:
-    """Fully coupled bath placement number config_index (seeded seed + index)."""
-    config = _coupled_sites(params, config_index)
-    return _with_pairs(config, enumerate_pairs(config.positions, params.pair_cutoff_nm), params)
+    """Bath placement number config_index (seeded seed + index), fully coupled:
+    its occupied sites, their J, the pairs within params.pair_cutoff_nm and
+    their dipolar b."""
+    seed = params.seed + config_index
+    pos = occupied_positions(params.lattice, params.abundance, seed)
+    pairs = enumerate_pairs(pos, params.pair_cutoff_nm)
+    direction = np.asarray(params.b_direction, dtype=float)
+    return BathConfiguration(
+        seed=seed,
+        positions=pos,
+        couplings_j=superhyperfine_j(pos, params.model),
+        pair_indices=pairs,
+        pair_b=np.asarray(dipolar_b(pos[pairs[:, 0]], pos[pairs[:, 1]], direction)),
+    )
 
 
 def _donor_levels(params: CceParams) -> tuple[float, float]:
@@ -99,22 +92,18 @@ def _config_curves(
 ) -> list[np.ndarray]:
     """Echo amplitude of one placement, one curve per pair cutoff.
 
-    The sites and J are built once; pairs are enumerated once at the
-    largest cutoff and filtered by squared distance for each cutoff, which
-    keeps them sorted and gives exactly the pairs `enumerate_pairs` finds
-    at that cutoff.
+    params.pair_cutoff_nm is the largest cutoff. The placement is built and
+    its pair echoes evaluated once; each cutoff's curve is the product over
+    the pairs within it, by the same squared-distance rule as
+    `enumerate_pairs`, so it is exactly the echo of a build at that cutoff.
+    The masked product reads the (T, P) factors without copying them.
     """
     params, index, cutoffs, s_a, s_b = args
-    times = np.asarray(params.time_grid_ms, dtype=float)
-    config = _coupled_sites(params, index)
-    pos = config.positions
-    pairs = enumerate_pairs(pos, max(cutoffs))
+    config = build_configuration(params, index)
+    pos, pairs = config.positions, config.pair_indices
     d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=1)
-    return [
-        cce2_echo(_with_pairs(config, pairs[d2 <= r * r + PAIR_D2_TOL_NM2], params),
-                  s_a, s_b, times).amplitude
-        for r in cutoffs
-    ]
+    factors = _pair_factors(config, s_a, s_b, np.asarray(params.time_grid_ms, dtype=float))
+    return [np.prod(factors, axis=1, where=d2 <= r * r + PAIR_D2_TOL_NM2) for r in cutoffs]
 
 
 def _mean_curve(curves: list[np.ndarray], times: np.ndarray) -> EchoCurve:
@@ -158,8 +147,9 @@ def convergence_study(
     """Ensemble echo for every (side, r_max) plus convergence distances.
 
     Every (side, configuration) is one task, run through one process pool
-    of at most `workers` processes: each task occupies its own side's
-    cube and serves every cutoff. Curves are means in configuration
+    of at most `workers` processes: each task builds its placement once,
+    at its own side and the largest cutoff, and serves every cutoff from
+    one evaluation of its pair echoes. Curves are means in configuration
     order, so they do not depend on the worker count. For each r_max the
     distances tuple holds sup-norm differences between ensemble curves of
     successive sides in the given order.
@@ -170,7 +160,8 @@ def convergence_study(
     cutoffs = tuple(dict.fromkeys(r_max_list_nm))
     s_a, s_b = _donor_levels(params)
     tasks = [
-        (dataclasses.replace(params, lattice=dataclasses.replace(params.lattice, side_nm=side)),
+        (dataclasses.replace(params, r_max_nm=max(cutoffs),
+                             lattice=dataclasses.replace(params.lattice, side_nm=side)),
          index, cutoffs, s_a, s_b)
         for side in sides
         for index in range(params.n_configs)

@@ -1,19 +1,16 @@
 """Command-line interface: config, manifests, and subcommand handlers."""
 
 from .config import ConfigError, SCHEMA, default_config, load_config, render_config
-from .main import build_parser, main
 from .manifest import build_manifest, file_sha256, json_ready, write_manifest
 
 __all__ = [
     "ConfigError",
     "SCHEMA",
     "build_manifest",
-    "build_parser",
     "default_config",
     "file_sha256",
     "json_ready",
     "load_config",
-    "main",
     "render_config",
     "write_manifest",
 ]

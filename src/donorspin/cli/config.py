@@ -138,6 +138,12 @@ def _rabi_coupled(config) -> bool:
 # (error naming the keys, formatted with the config and the donor's
 # dimension; test on the config), checked once every key keeps its bound
 RULES = (
+    # the stretched states sit at +-f0/2 -+ I f0 delta + I A/2: past this bound
+    # the two electron manifolds interleave at high field, and labels
+    # 1..D/2 stop being the m_s = -1/2 manifold
+    ("donor.nuclear_zeeman_delta: |{donor[nuclear_zeeman_delta]!r}| must be below "
+     "1 / (2 donor.nuclear_spin)",
+     lambda c: abs(c["donor"]["nuclear_zeeman_delta"]) < 1 / (2 * c["donor"]["nuclear_spin"])),
     ("levels.b_max_t: must be at least levels.b_min_t",
      lambda c: c["levels"]["b_max_t"] >= c["levels"]["b_min_t"]),
     ("freqmap.b_max_t: must be at least freqmap.b_min_t",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 
 
 @dataclasses.dataclass(frozen=True)
@@ -22,10 +21,6 @@ class PhysicalConstants:
     boltzmann_kb: float = 1.380649e-23        # J/K (exact)
     vacuum_permeability: float = 1.25663706212e-6  # T^2 m^3 / J
     gyromagnetic_si29: float = -8.4655        # MHz/T, signed
-
-    @property
-    def hbar(self) -> float:
-        return self.planck_h / (2.0 * math.pi)
 
     def hash(self) -> str:
         """Stable digest of the constant set, recorded in run manifests."""

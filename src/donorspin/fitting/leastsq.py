@@ -65,10 +65,16 @@ def _numeric_jacobian(
     x: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    n_rows: int | None = None,
 ) -> np.ndarray:
-    """Central-difference Jacobian, one-sided against an active bound."""
-    r0 = residual(x)
-    jac = np.empty((len(r0), len(x)))
+    """Central-difference Jacobian, one-sided against an active bound.
+
+    n_rows is the residual's length; a caller that holds a residual passes
+    it and saves one evaluation.
+    """
+    if n_rows is None:
+        n_rows = len(residual(x))
+    jac = np.empty((n_rows, len(x)))
     for i in range(len(x)):
         # absolute floor keeps the step sane for parameters sitting at 0
         h = max(1e-6 * abs(x[i]), 1e-8)
@@ -99,7 +105,7 @@ def levenberg_fit(
     lam = 1e-3
     converged = False
     iteration = 0
-    jac = _numeric_jacobian(residual, x, lo, hi)
+    jac = _numeric_jacobian(residual, x, lo, hi, len(r))
 
     while iteration < max_iterations and not converged:
         iteration += 1
@@ -135,7 +141,7 @@ def levenberg_fit(
                 converged = True
                 history.append(cost)
                 break
-        jac = _numeric_jacobian(residual, x, lo, hi)
+        jac = _numeric_jacobian(residual, x, lo, hi, len(r))
 
     return _Solution(
         x=x,

@@ -200,10 +200,6 @@ class DonorEigensystem:
         self._check_label(label)
         return self.states[:, label - 1]
 
-    def m_branch(self, label: int) -> tuple[float, int]:
-        self._check_label(label)
-        return float(self.doublet_m[label - 1]), int(self.branches[label - 1])
-
     def _check_label(self, label: int):
         if not 1 <= label <= self.system.dimension:
             raise ValueError(f"label must be in 1..{self.system.dimension}, got {label}")

@@ -325,6 +325,10 @@ def test_rabi_labels_not_one_m_apart_is_usage_error(tmp_path, capsys):
         ("levels", "donor", "g_factor", "-2"),
         ("levels", "donor", "nuclear_spin", "4.3"),
         ("levels", "donor", "hyperfine_mhz", "0"),
+        ("levels", "donor", "nuclear_zeeman_delta", "-1"),
+        ("levels", "donor", "nuclear_zeeman_delta", "-2"),
+        ("levels", "donor", "nuclear_zeeman_delta", "5"),
+        ("levels", "donor", "nuclear_zeeman_delta", "0.1111111111111111"),
         ("resonances", "resonances", "intensity_floor", "-1"),
         ("rabi", "rabi", "field_t", "-1"),
         ("cce-converge", "converge", "sides_nm", "1 7"),
@@ -365,6 +369,19 @@ def test_python_dash_m_runs_the_cli():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "donorspin.cli", "print-config"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "[run]" in proc.stdout
+
+
+def test_python_dash_m_main_module_runs_without_warning():
+    src = os.path.dirname(os.path.dirname(donorspin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "donorspin.cli.main",
+         "print-config"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=False,
     )
     assert proc.returncode == 0

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from donorspin import diagonalize, expectation_sz, si_bi
 from donorspin.bath import (
@@ -20,6 +22,7 @@ from donorspin.bath import (
     generate_lattice,
     superhyperfine_j,
 )
+from donorspin.bath import echo, ensemble
 from donorspin.bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
 
 TIMES = tuple(np.linspace(0.0, 1.0, 21))
@@ -176,3 +179,58 @@ def test_pool_is_sized_to_the_work():
     assert convergence_study(_params(n_configs=2), [3.0], [0.4], workers=4).workers_used == 2
     assert convergence_study(_params(n_configs=2), [3.0], [0.4], workers=1).workers_used == 1
     assert convergence_study(_params(n_configs=1), [3.0], [0.4], workers=4).workers_used == 1
+
+
+SHELL_FACTORS = {2: SECOND_NN_FACTOR, 3: THIRD_NN_FACTOR}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    cells=st.lists(st.integers(2, 6), min_size=1, max_size=3, unique=True),
+    abundance=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31),
+    shells=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2, unique=True),
+    n_configs=st.integers(1, 3),
+)
+@example(cells=[2, 3], abundance=0.0, seed=5, shells=[2, 3], n_configs=2)
+# the 2nd shell holds no pairs in either config, the 3rd holds two
+@example(cells=[2], abundance=0.03, seed=16, shells=[3, 2], n_configs=2)
+def test_shell_masks_match_builds_at_each_shell(cells, abundance, seed, shells, n_configs):
+    a0 = 0.543
+    params = _params(abundance=abundance, seed=seed, n_configs=n_configs)
+    sides = [k * a0 for k in cells]
+    cutoffs = [SHELL_FACTORS[shell] * a0 for shell in shells]
+    study = convergence_study(params, sides, cutoffs, workers=1)
+    es = diagonalize(params.system, params.field_b)
+    s_a, s_b = expectation_sz(es, 11), expectation_sz(es, 10)
+    for side in sides:
+        for r_max in cutoffs:
+            alone = dataclasses.replace(
+                params, r_max_nm=r_max, lattice=dataclasses.replace(params.lattice, side_nm=side))
+            builds = [build_configuration(alone, i) for i in range(n_configs)]
+            want = np.mean(np.stack(
+                [cce2_echo(b, s_a, s_b, np.asarray(TIMES)).amplitude for b in builds]), axis=0)
+            got = study.curves[(side, r_max)].amplitude
+            assert np.array_equal(got, want)
+            if all(len(b.pair_indices) == 0 for b in builds):
+                assert np.all(got == 1.0)
+
+
+def test_one_build_and_one_pair_echo_pass_per_task(monkeypatch):
+    counts = {"build": 0, "dipolar": 0, "kernel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ensemble, "build_configuration",
+                        counted("build", ensemble.build_configuration))
+    monkeypatch.setattr(ensemble, "dipolar_b", counted("dipolar", ensemble.dipolar_b))
+    monkeypatch.setattr(echo, "_pair_amplitudes", counted("kernel", echo._pair_amplitudes))
+    params = _params(n_configs=2)
+    cutoffs = [SECOND_NN_FACTOR * 0.543, THIRD_NN_FACTOR * 0.543]
+    convergence_study(params, [2.2, 3.3], cutoffs, workers=1)
+    tasks = 2 * params.n_configs
+    assert counts == {"build": tasks, "dipolar": tasks, "kernel": tasks}

@@ -25,6 +25,7 @@ from donorspin.fitting import (
     t1_rate,
     t2_effectively_infinite,
 )
+from donorspin.fitting import leastsq
 from donorspin.fitting.leastsq import _numeric_jacobian
 from donorspin.spectra import find_all_resonances, synthesize_spectrum
 
@@ -178,6 +179,30 @@ def test_numeric_jacobian_matches_analytic():
         [1.0 - 2.0 * decay, -2.0 * x[0] * decay * t / x[1] ** 2, np.ones_like(t)]
     )
     assert np.allclose(jac, analytic, rtol=1e-6, atol=1e-8)
+
+
+def test_each_jacobian_costs_two_residual_calls_per_parameter(monkeypatch):
+    t = np.linspace(0.0, 60.0, 40)
+    data = exp_recovery(t, 0.9, 9.0, 0.05)
+    calls = 0
+
+    def residual(x):
+        nonlocal calls
+        calls += 1
+        return exp_recovery(t, x[0], x[1], x[2]) - data
+
+    per_jacobian = []
+
+    def counted(*args):
+        before = calls
+        jac = _numeric_jacobian(*args)
+        per_jacobian.append(calls - before)
+        return jac
+
+    monkeypatch.setattr(leastsq, "_numeric_jacobian", counted)
+    free = np.full(3, np.inf)
+    solution = levenberg_fit(residual, np.array([0.8, 11.0, 0.02]), -free, free)
+    assert per_jacobian == [6] * (solution.n_iterations + 1)
 
 
 def test_std_error_calibration():
