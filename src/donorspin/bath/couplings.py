@@ -116,34 +116,78 @@ def dipolar_b(
     return float(out[0]) if np.ndim(pos_k) == 1 and np.ndim(pos_l) == 1 else out
 
 
-def _kd_tree_class():
-    """scipy's cKDTree, imported on first use so that commands without a
-    bath never load scipy."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree
+# (dx, dy) of the four rows of three z-adjacent cells that, with the rest of
+# a point's own cell and the cell above it in z, make the 13-cell half shell
+_HALF_SHELL_ROWS = np.array([(0, 1), (1, -1), (1, 0), (1, 1)], dtype=np.intp)
 
 
 def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
     """All index pairs with separation <= r_max, sorted, as a (P, 2) array.
 
     Membership is d2 <= r_max^2 + PAIR_D2_TOL_NM2 on the squared distance,
-    so shell-radius cutoffs (exact lattice distances) are inclusive; the
-    tree search radius covers that slack, so filtering the pairs of a
-    larger cutoff by the same rule gives exactly the pairs of a smaller one.
+    so shell-radius cutoffs (exact lattice distances) are inclusive, and
+    filtering the pairs of a larger cutoff by the same rule gives exactly
+    the pairs of a smaller one. Rows are (i, j) with i < j in lexicographic
+    order, dtype np.intp; any finite positions are allowed, coincident ones
+    too.
+
+    Linked-cell search (Allen & Tildesley, Computer Simulation of Liquids,
+    sec. 5.3): points are binned into cubic cells at least as wide as the
+    search radius, so a pair lies in one cell or in two adjacent ones, and
+    each point is tested against the later points of its own cell and all
+    points of the 13 half-shell neighbour cells. Cells are numbered z
+    fastest, so three z-adjacent cells are one run of the sorted points and
+    the half shell is five runs per point. The edge grows until the cloud
+    spans at most 8 N cells, so the cell table stays O(N) for any cutoff
+    and extent.
     """
-    if r_max_nm <= 0:
+    if not r_max_nm > 0:
         raise ValueError("pair cutoff must be positive")
     pos = np.asarray(positions, dtype=float)
-    if len(pos) < 2:
+    n = len(pos)
+    if n < 2:
         return np.empty((0, 2), dtype=np.intp)
-    tree = _kd_tree_class()(pos)
-    radius = math.sqrt(r_max_nm * r_max_nm + PAIR_D2_TOL_NM2) * (1.0 + 1e-9)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    if len(pairs) == 0:
-        return np.empty((0, 2), dtype=np.intp)
-    d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=1)
-    pairs = pairs[d2 <= r_max_nm * r_max_nm + PAIR_D2_TOL_NM2]
-    pairs = np.sort(pairs, axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("positions must be finite")
+    cols = pos.T.copy()   # (3, N): x, y, z
+    d2_max = r_max_nm * r_max_nm + PAIR_D2_TOL_NM2
+    # the relative widening keeps floor() round-off from putting a pair
+    # within the radius into non-adjacent cells
+    edge = math.sqrt(d2_max) * (1.0 + 1e-6)
+    low = cols.min(axis=1)
+    extent = cols.max(axis=1) - low
+    while np.prod(np.floor(extent / edge) + 1.0) > 8 * n:
+        edge *= 1.25
+    # one empty layer of cells on every face, so neighbour keys never wrap
+    shape = np.floor(extent / edge).astype(np.intp) + 3
+    cell = np.floor((cols - low[:, None]) / edge).astype(np.intp) + 1
+    key = (cell[0] * shape[1] + cell[1]) * shape[2] + cell[2]
+    order = np.argsort(key)
+    key = key[order]
+    # bounds[k]: first sorted point of cell k (and end of cell k - 1)
+    n_cells = int(np.prod(shape))
+    bounds = np.zeros(n_cells + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=n_cells), out=bounds[1:])
+
+    # candidate runs of sorted points: the later points of the own cell and
+    # the cell above it, then each row of three cells
+    rows = key + (_HALF_SHELL_ROWS @ np.array([shape[1], 1]) * shape[2])[:, None]
+    begin = np.empty((5, n), dtype=np.intp)
+    end = np.empty((5, n), dtype=np.intp)
+    begin[0] = np.arange(1, n + 1)
+    end[0] = bounds[key + 2]
+    begin[1:] = bounds[rows - 1]
+    end[1:] = bounds[rows + 2]
+    length = (end - begin).ravel()
+    run = np.flatnonzero(length)
+    length = length[run]
+    stop = np.cumsum(length)
+    owner = np.repeat(run % n, length)
+    partner = np.arange(len(owner)) + np.repeat(begin.ravel()[run] - stop + length, length)
+
+    x, y, z = cols[:, order]
+    dx, dy, dz = x[owner] - x[partner], y[owner] - y[partner], z[owner] - z[partner]
+    keep = dx * dx + dy * dy + dz * dz <= d2_max
+    i, j = order[owner[keep]], order[partner[keep]]
+    code = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.stack((code // n, code % n), axis=1)

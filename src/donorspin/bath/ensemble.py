@@ -16,7 +16,6 @@ from .couplings import (
     dipolar_b,
     enumerate_pairs,
     superhyperfine_j,
-    _kd_tree_class,
 )
 from .echo import EchoCurve, _pair_factors
 from .lattice import LatticeSpec
@@ -168,7 +167,6 @@ def convergence_study(
     ]
     pool_size = max(1, min(workers, len(tasks)))
     if pool_size > 1:
-        _kd_tree_class()  # import scipy once here rather than in every forked worker
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             per_task = list(pool.map(_config_curves, tasks))
     else:

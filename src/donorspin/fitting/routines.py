@@ -165,13 +165,22 @@ def fit_exp_recovery(times_ms: np.ndarray, magnetization: np.ndarray) -> FitResu
 
 
 def _initial_lines(x_mt, signal, n_lines, fwhm_mt):
-    """Peak-pick initial centers and amplitudes, masking found peaks."""
+    """Peak-pick initial centers and amplitudes, masking found peaks.
+
+    Each pick masks +-1.5 fwhm_mt around itself and, for a line wider than
+    that, its whole lobe down to half its height, so the next pick cannot
+    land on the first line's shoulder.
+    """
     work = signal.copy()
     centers, amps = [], []
     for _ in range(n_lines):
         k = int(np.argmax(np.abs(work)))
         centers.append(float(x_mt[k]))
         amps.append(float(work[k]))
+        below = np.flatnonzero(np.abs(work) < 0.5 * abs(work[k]))
+        left = below[below < k].max(initial=-1)
+        right = below[below > k].min(initial=len(work))
+        work[left + 1:right] = 0.0
         work[np.abs(x_mt - x_mt[k]) < 1.5 * fwhm_mt] = 0.0
     order = np.argsort(centers)
     return [centers[i] for i in order], [amps[i] for i in order]

@@ -401,6 +401,32 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cce_commands_run_without_scipy(tmp_path):
+    # scipy blocked before donorspin loads; the 3 nm cubes hold many pairs
+    cfg = write_config(
+        tmp_path,
+        "[run]\nseed = 1016164992\n[cce]\nside_nm = 3.0\nn_configs = 2\nt_steps = 6\n"
+        "fit = false\n[converge]\nsides_nm = 2.0 3.0\nshells = 2 3\n",
+    )
+    src = os.path.dirname(os.path.dirname(donorspin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from donorspin.cli.main import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for command, out in (("cce", "echo.csv"), ("cce-converge", "echo_side3_shell3.csv")):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", cfg,
+             "--out", str(tmp_path / command), "--workers", "2"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        amplitude = np.loadtxt(tmp_path / command / out, delimiter=",", skiprows=1)[:, 1]
+        assert amplitude[0] == 1.0
+        assert amplitude[-1] < 1.0 - 1e-7
+
+
 def test_cce_converge_workers_byte_identical(tmp_path):
     # 2 sides x 2 configs: three workers split the four tasks unevenly
     cfg = write_config(

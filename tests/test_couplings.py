@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from donorspin.bath import (
     KohnLuttingerModel,
@@ -16,6 +18,9 @@ from donorspin.bath import (
 
 A0 = 0.543
 MODEL = KohnLuttingerModel()
+SECOND_NN = A0 * math.sqrt(2.0) / 2.0
+THIRD_NN = A0 * math.sqrt(11.0) / 4.0
+SITES = generate_lattice(LatticeSpec(side_nm=3 * A0))
 
 
 def _j_reference(pos, model):
@@ -121,3 +126,51 @@ def test_enumerate_pairs_shell_inclusive():
     assert len(enumerate_pairs(pts[:1], r2)) == 0
     with pytest.raises(ValueError):
         enumerate_pairs(pts, 0.0)
+
+
+def _pairs_oracle(pos, r_max):
+    """Every i < j with d2 <= r^2 + tol, by brute force, in row-major order."""
+    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
+    i, j = np.nonzero(np.triu(d2 <= r_max * r_max + 1e-9, k=1))
+    return np.stack((i, j), axis=1)
+
+
+@st.composite
+def _clouds(draw):
+    """0-400 points in a box with flat, thin or anisotropic extents, some
+    on a coarse grid (exact distances recur) and some coincident."""
+    n = draw(st.integers(0, 400))
+    extent = np.array(draw(st.lists(st.sampled_from([0.0, 1e-3, 0.4, 2.0, 15.0]),
+                                    min_size=3, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * extent + draw(st.floats(-50.0, 50.0))
+    if draw(st.booleans()):
+        pos = np.round(pos, 1)
+    if n > 1 and draw(st.booleans()):
+        copies = rng.integers(0, n, n // 4)
+        pos[copies] = pos[rng.integers(0, n, len(copies))]
+    return pos
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pos=_clouds(), r_max=st.floats(-3.0, 2.5).map(lambda e: 10.0**e))
+@example(pos=SITES, r_max=SECOND_NN)
+@example(pos=SITES, r_max=THIRD_NN)
+@example(pos=SITES + 7.31, r_max=THIRD_NN)
+@example(pos=SITES[::3], r_max=THIRD_NN)
+@example(pos=np.array([[0.0, 0.0, 0.0], [0.9999985, 0.0, 0.0], [1.9999985, 0.0, 0.0]]),
+         r_max=1.0)  # a pair at the cutoff straddling two cell faces
+@example(pos=np.array([[0.0, 0.0, 0.0], [1e3, 1e3, 1e3]]), r_max=1e-3)  # 1e18 cells of r
+def test_enumerate_pairs_matches_brute_force_oracle(pos, r_max):
+    pairs = enumerate_pairs(pos, r_max)
+    assert pairs.dtype == np.intp
+    assert pairs.shape == (len(pairs), 2)
+    assert np.array_equal(pairs, _pairs_oracle(pos, r_max))
+
+
+def test_enumerate_pairs_rejects_non_finite_positions():
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        enumerate_pairs(pts, 0.5)
+    with pytest.raises(ValueError):
+        enumerate_pairs(pts[:2], float("nan"))

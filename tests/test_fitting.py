@@ -260,6 +260,20 @@ def test_gaussian_round_trip_derivative():
     assert result.params["amp_2"] == pytest.approx(0.83, rel=1e-3)
 
 
+@pytest.mark.parametrize("mode", ["absorption", "derivative"])
+def test_gaussian_lines_wider_than_the_initial_width(mode):
+    # 4 and 5 mT lines against the 0.7 mT initial width: the second start
+    # must not land on the first line's shoulder
+    grid = np.arange(0.110, 0.180, 5e-5)
+    model = gaussian_sum if mode == "absorption" else gaussian_derivative_sum
+    signal = model(grid * 1e3, [130.0, 160.0], [4.0, 5.0], [1.0, 0.6])
+    noise = np.random.default_rng(5).standard_normal(len(grid))
+    result = fit_gaussian_lines(grid, signal + 0.01 * np.max(np.abs(signal)) * noise, 2, mode)
+    assert result.converged
+    assert result.params["center_1_mt"] == pytest.approx(130.0, abs=0.5)
+    assert result.params["center_2_mt"] == pytest.approx(160.0, abs=0.5)
+
+
 def test_gaussian_overlapping_lines_not_identifiable():
     grid = np.linspace(0.340, 0.352, 1200)
     signal = gaussian_sum(grid * 1e3, [346.0, 346.02], [0.7, 0.7], [1.0, 0.8])
