@@ -81,9 +81,7 @@ def _donor_levels(params: CceParams) -> tuple[float, float]:
     """(s_a, s_b): <Sz> of the upper and lower level of the transition."""
     es = diagonalize(params.system, params.field_b)
     upper, lower = params.transition
-    s_a = expectation_sz(es, upper)
-    s_b = expectation_sz(es, lower)
-    return s_a, s_b
+    return expectation_sz(es, upper), expectation_sz(es, lower)
 
 
 def _config_curves(

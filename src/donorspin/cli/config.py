@@ -23,6 +23,7 @@ from ..constants import (
     SI29_ABUNDANCE,
     SI_LATTICE_NM,
 )
+from ..fitting.routines import ECHO_MIN_POINTS
 from ..spectra import sx_matrix_element
 from ..spin import SpinSystem
 
@@ -160,6 +161,9 @@ RULES = (
     ("cce.label_upper, cce.label_lower: {cce[label_upper]} and {cce[label_lower]} must "
      "be distinct labels 1..{dimension}",
      lambda c: _labels_of_donor(c, "cce") and c["cce"]["label_upper"] != c["cce"]["label_lower"]),
+    (f"cce.t_steps, cce.fit: the echo fit needs at least {ECHO_MIN_POINTS} time points, got "
+     "{cce[t_steps]}; raise cce.t_steps or set cce.fit = false",
+     lambda c: not c["cce"]["fit"] or c["cce"]["t_steps"] >= ECHO_MIN_POINTS),
 )
 
 

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from ..bath import CceParams, LatticeSpec, convergence_study
+from ..bath import CceParams, KohnLuttingerModel, LatticeSpec, convergence_study
 from ..bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
 from ..fitting import (
     FitResult,
@@ -75,7 +75,7 @@ def _fit_result_payload(result: FitResult) -> dict[str, Any]:
     return payload
 
 
-def cmd_print_config(config, args) -> int:
+def cmd_print_config(config) -> int:
     sys.stdout.write(render_config(config))
     return 0
 
@@ -85,22 +85,21 @@ def _field_grid(section) -> np.ndarray:
     return np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
 
 
-def cmd_levels(config, args) -> int:
+def cmd_levels(config) -> int:
     started = time.monotonic()
     system = spin_system(config)
     grid = _field_grid(config["levels"])
     table = level_table(system, grid)
-    # a state a|+1/2, x> + b|-1/2, y> has concurrence 2|ab| = |sin theta_m|
-    concurrences = 2.0 * np.abs(table.up * table.down)
     labels = range(1, system.dimension + 1)
     header = ["B_mT", *(f"E{label}" for label in labels), *(f"C{label}" for label in labels)]
     path = _out_path(config, "levels.csv")
-    _write_csv(path, header, np.column_stack((grid * 1e3, table.energies, concurrences)).tolist())
+    _write_csv(path, header,
+               np.column_stack((grid * 1e3, table.energies, table.concurrence)).tolist())
     _finish("levels", config, started, [path])
     return 0
 
 
-def cmd_resonances(config, args) -> int:
+def cmd_resonances(config) -> int:
     started = time.monotonic()
     system = spin_system(config)
     section = config["resonances"]
@@ -123,7 +122,7 @@ def cmd_resonances(config, args) -> int:
     return 0
 
 
-def cmd_freqmap(config, args) -> int:
+def cmd_freqmap(config) -> int:
     started = time.monotonic()
     system = spin_system(config)
     grid = _field_grid(config["freqmap"])
@@ -136,7 +135,7 @@ def cmd_freqmap(config, args) -> int:
     return 0
 
 
-def cmd_rabi(config, args) -> int:
+def cmd_rabi(config) -> int:
     started = time.monotonic()
     system = spin_system(config)
     section = config["rabi"]
@@ -179,6 +178,7 @@ def _cce_params(config) -> CceParams:
         seed=config["run"]["seed"],
         r_max_nm=_shell_cutoff_nm(config, section["shell"]),
         abundance=section["abundance"],
+        model=KohnLuttingerModel(a0_nm=section["a0_nm"], g_factor=config["donor"]["g_factor"]),
         system=spin_system(config),
     )
 
@@ -187,7 +187,7 @@ def _echo_rows(curve):
     return zip(curve.times_ms.tolist(), curve.amplitude.tolist(), curve.std_of_mean.tolist())
 
 
-def cmd_cce(config, args) -> int:
+def cmd_cce(config) -> int:
     started = time.monotonic()
     params = _cce_params(config)
     # the one-side, one-shell case of a convergence study
@@ -206,7 +206,7 @@ def cmd_cce(config, args) -> int:
     return 0 if result.converged else 1
 
 
-def cmd_cce_converge(config, args) -> int:
+def cmd_cce_converge(config) -> int:
     started = time.monotonic()
     params = _cce_params(config)
     section = config["converge"]
@@ -290,7 +290,7 @@ def _run_fit(config):
     return result, x, y, curve, x_name, y_name
 
 
-def cmd_fit(config, args) -> int:
+def cmd_fit(config) -> int:
     started = time.monotonic()
     result, x, y, curve, x_name, y_name = _run_fit(config)
     json_path = _out_path(config, "fit.json")
@@ -348,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "fix_delta", None) is not None:
             config["fit"]["fix_delta_k"] = args.fix_delta
         validate(config)
-        return _COMMANDS[args.command](config, args)
+        return _COMMANDS[args.command](config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

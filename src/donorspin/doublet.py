@@ -51,6 +51,13 @@ class DoubletParams:
     theta: float            # mixing angle, in (0, pi)
 
 
+def check_labels(sys: SpinSystem, *labels: int) -> None:
+    """Raise ValueError unless every label lies in 1..D."""
+    for label in labels:
+        if not 1 <= label <= sys.dimension:
+            raise ValueError(f"label must be in 1..{sys.dimension}, got {label}")
+
+
 def label_structure(sys: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     """(m, branch) of labels 1..D, the inverse of `SpinSystem.label_of`."""
     top = sys.nuclear_spin + 0.5
@@ -64,8 +71,11 @@ class LevelTable:
     """Closed-form levels on an array of fields.
 
     Per-m arrays run over `sys.doublet_ms()` (m descending). Per-label
-    arrays hold label k in column k - 1: the energy, its field slope and
-    the state's amplitudes on |+1/2, m-1/2> (up) and |-1/2, m+1/2> (down).
+    arrays hold label k in column k - 1: the energy, its field slope, the
+    state's amplitudes on |+1/2, m-1/2> (up) and |-1/2, m+1/2> (down), and
+    the two observables those amplitudes fix. A state up|+1/2, x> +
+    down|-1/2, y> has <Sz> = (up^2 - down^2)/2 = +-cos(theta_m)/2 and
+    electron-nuclear concurrence 2|up down| = |sin theta_m|.
     """
 
     system: SpinSystem
@@ -79,6 +89,8 @@ class LevelTable:
     slopes: np.ndarray      # (F, D) dE/dB, MHz per tesla
     up: np.ndarray          # (F, D)
     down: np.ndarray        # (F, D)
+    sz: np.ndarray          # (F, D) <Sz>
+    concurrence: np.ndarray # (F, D) in [0, 1], exactly 0 on the stretched states
 
     def sx_element(self, label_i, label_j) -> np.ndarray:
         """|<i| Sx x 1 |j>| per field; exactly 0 unless |m_i - m_j| = 1.
@@ -126,10 +138,11 @@ def level_table(sys: SpinSystem, b_fields) -> LevelTable:
     upper = branch > 0
     # dbeta/dDelta = cos(theta), which is 1 on the stretched rows
     slopes = sys.zeeman_mhz(1.0) * (branch * np.cos(theta[:, k]) * 0.5 * (1.0 + nz) - m * nz)
+    up, down = np.where(upper, cos_half, -sin_half), np.where(upper, sin_half, cos_half)
     return LevelTable(
         system=sys, fields=fields, delta=delta, omega=omega, eps=eps, beta=beta, theta=theta,
-        energies=branch * beta[:, k] - eps[:, k], slopes=slopes,
-        up=np.where(upper, cos_half, -sin_half), down=np.where(upper, sin_half, cos_half),
+        energies=branch * beta[:, k] - eps[:, k], slopes=slopes, up=up, down=down,
+        sz=0.5 * (up * up - down * down), concurrence=2.0 * np.abs(up * down),
     )
 
 

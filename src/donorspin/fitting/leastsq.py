@@ -95,7 +95,6 @@ def levenberg_fit(
     x0: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> _Solution:
     """Minimize ||residual(x)||^2 over the box [lo, hi] starting at x0."""
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -107,7 +106,7 @@ def levenberg_fit(
     iteration = 0
     jac = _numeric_jacobian(residual, x, lo, hi, len(r))
 
-    while iteration < max_iterations and not converged:
+    while iteration < MAX_ITERATIONS and not converged:
         iteration += 1
         gradient = jac.T @ r
         # active set: hold a parameter on a bound that descent would push out

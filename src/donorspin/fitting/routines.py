@@ -19,6 +19,8 @@ from .models import (
 
 ECHO_START_EXPONENTS = (1.5, 2.0, 2.5, 3.0, 3.5)
 T2_EFFECTIVELY_INFINITE_MS = 1e6  # 1e3 s; fits beyond this are unbounded
+ECHO_MIN_POINTS = 6                # an echo fit has 4 parameters and needs spare points
+FWHM_INIT_MT = 0.7                 # starting width of every fitted Gaussian line
 
 
 def t2_effectively_infinite(result: FitResult) -> bool:
@@ -47,8 +49,8 @@ def fit_echo_decay(
     """
     t = np.asarray(times_ms, dtype=float)
     amp = np.asarray(amplitude, dtype=float)
-    if len(t) < 6:
-        raise ValueError("need at least 6 points")
+    if len(t) < ECHO_MIN_POINTS:
+        raise ValueError(f"need at least {ECHO_MIN_POINTS} points")
     if np.any(amp <= 0):
         raise ValueError("echo amplitudes must be positive")
 
@@ -164,10 +166,10 @@ def fit_exp_recovery(times_ms: np.ndarray, magnetization: np.ndarray) -> FitResu
     return build_result(solution, names)
 
 
-def _initial_lines(x_mt, signal, n_lines, fwhm_mt):
+def _initial_lines(x_mt, signal, n_lines):
     """Peak-pick initial centers and amplitudes, masking found peaks.
 
-    Each pick masks +-1.5 fwhm_mt around itself and, for a line wider than
+    Each pick masks +-1.5 FWHM_INIT_MT around itself and, for a line wider than
     that, its whole lobe down to half its height, so the next pick cannot
     land on the first line's shoulder.
     """
@@ -181,7 +183,7 @@ def _initial_lines(x_mt, signal, n_lines, fwhm_mt):
         left = below[below < k].max(initial=-1)
         right = below[below > k].min(initial=len(work))
         work[left + 1:right] = 0.0
-        work[np.abs(x_mt - x_mt[k]) < 1.5 * fwhm_mt] = 0.0
+        work[np.abs(x_mt - x_mt[k]) < 1.5 * FWHM_INIT_MT] = 0.0
     order = np.argsort(centers)
     return [centers[i] for i in order], [amps[i] for i in order]
 
@@ -191,7 +193,6 @@ def fit_gaussian_lines(
     signal: np.ndarray,
     n_lines: int,
     mode: str = "absorption",
-    fwhm_init_mt: float = 0.7,
 ) -> FitResult:
     """Fit a sum of Gaussian lines (or their derivatives) to a spectrum.
 
@@ -213,7 +214,7 @@ def fit_gaussian_lines(
         proxy = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x_mt))))
     else:
         proxy = y
-    centers, amps = _initial_lines(x_mt, proxy, n_lines, fwhm_init_mt)
+    centers, amps = _initial_lines(x_mt, proxy, n_lines)
 
     model_fn = gaussian_sum if mode == "absorption" else gaussian_derivative_sum
 
@@ -224,7 +225,7 @@ def fit_gaussian_lines(
     lo = np.empty(3 * n_lines)
     hi = np.empty(3 * n_lines)
     for i in range(n_lines):
-        x0[3 * i : 3 * i + 3] = (centers[i], fwhm_init_mt, amps[i])
+        x0[3 * i : 3 * i + 3] = (centers[i], FWHM_INIT_MT, amps[i])
         lo[3 * i : 3 * i + 3] = (x_mt[0], 1e-4, -1e12)
         hi[3 * i : 3 * i + 3] = (x_mt[-1], x_mt[-1] - x_mt[0], 1e12)
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .doublet import label_structure, level_table
+from .doublet import check_labels, label_structure, level_table
 from .spin import SpinSystem
 
 INTENSITY_FLOOR = 1e-4      # default cut on |<Sx>|^2 (scale: max is 1/4)
@@ -61,15 +61,9 @@ class SpectrumCurve:
         self.signal.setflags(write=False)
 
 
-def _check_labels(sys: SpinSystem, *labels: int) -> None:
-    for label in labels:
-        if not 1 <= label <= sys.dimension:
-            raise ValueError(f"label must be in 1..{sys.dimension}, got {label}")
-
-
 def _pair_at(sys: SpinSystem, label_i: int, label_j: int, b_field: float):
     """(E_i - E_j, its field slope in MHz/T, |<i| Sx x 1 |j>|) at one field."""
-    _check_labels(sys, label_i, label_j)
+    check_labels(sys, label_i, label_j)
     table = level_table(sys, b_field)
     i, j = label_i - 1, label_j - 1
     sx = table.sx_element(label_i, label_j)[0]
@@ -163,7 +157,7 @@ def resonance_fields(
     An empty list means the transition never reaches the requested
     frequency in range.
     """
-    _check_labels(sys, label_i, label_j)
+    check_labels(sys, label_i, label_j)
     _, fields = _resonance_roots(sys, [(label_i, label_j)], frequency, b_range)
     return sorted(float(b) for b in fields)
 

@@ -1,4 +1,5 @@
-"""Coupled electron-nuclear spin system: operators, Hamiltonian, eigenstructure.
+"""Coupled electron-nuclear spin system: the donor, its eigenstructure, and
+the dense reference operators.
 
 The working Hamiltonian (units of ordinary frequency, MHz) is
 
@@ -11,9 +12,13 @@ through the ratio delta of nuclear to electronic Zeeman frequencies.
 Total spin projection m = m_s + m_I is conserved, so the Hamiltonian is
 block diagonal in m: 2x2 blocks for |m| <= I - 1/2 (the doublets) and
 1x1 blocks for m = +/-(I + 1/2) (the unmixed stretched states).
-`diagonalize` takes each block's eigenpairs in closed form from
+`diagonalize` reads each block's eigenpairs in closed form from
 `doublet.level_table`, which keeps eigenvectors inside their exact m
-sector even at crossings and at B = 0.
+sector even at crossings and at B = 0. The per-state observables are
+closed-form columns of the same table: <Sz> = +/- cos(theta_m)/2 and the
+concurrence |sin theta_m|. `spin_operators` and `build_hamiltonian`
+give the dense product-space matrices; they are the reference the
+closed forms are tested against, not a path the library computes on.
 
 States carry adiabatic labels 1..D fixed by the high-field ordering:
 lower branch (-) of doublet m gets label (I + 1/2) - m, upper branch (+)
@@ -25,7 +30,6 @@ numbering where state 10 is |m_s=-1/2, m_I=-9/2> and state 20 is
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .constants import (
     BI_NUCLEAR_ZEEMAN_DELTA,
     CONSTANTS,
 )
-from .doublet import label_structure, level_table
+from .doublet import check_labels, level_table
 
 
 def _check_spin(j: float) -> float:
@@ -140,13 +144,12 @@ class SpinOperators:
     s_dot_i: np.ndarray
 
 
-@lru_cache(maxsize=16)
-def _operators_cached(two_s: int, two_i: int) -> SpinOperators:
-    sx1, sy1, sz1 = spin_matrices(two_s / 2)
-    ix1, iy1, iz1 = spin_matrices(two_i / 2)
-    es = np.eye(two_s + 1)
-    en = np.eye(two_i + 1)
-    ops = SpinOperators(
+def spin_operators(sys: SpinSystem) -> SpinOperators:
+    """Operators in the product basis |m_s> x |m_I>, both descending."""
+    sx1, sy1, sz1 = spin_matrices(sys.electron_spin)
+    ix1, iy1, iz1 = spin_matrices(sys.nuclear_spin)
+    es, en = np.eye(len(sz1)), np.eye(len(iz1))
+    return SpinOperators(
         sx=np.kron(sx1, en),
         sy=np.kron(sy1, en),
         sz=np.kron(sz1, en),
@@ -155,14 +158,6 @@ def _operators_cached(two_s: int, two_i: int) -> SpinOperators:
         iz=np.kron(es, iz1),
         s_dot_i=np.kron(sx1, ix1) + np.kron(sy1, iy1) + np.kron(sz1, iz1),
     )
-    for a in dataclasses.astuple(ops):
-        a.setflags(write=False)
-    return ops
-
-
-def spin_operators(sys: SpinSystem) -> SpinOperators:
-    """Operators in the product basis |m_s> x |m_I>, both descending."""
-    return _operators_cached(int(round(2 * sys.electron_spin)), int(round(2 * sys.nuclear_spin)))
 
 
 def build_hamiltonian(sys: SpinSystem, b_field: float) -> np.ndarray:
@@ -177,32 +172,27 @@ def build_hamiltonian(sys: SpinSystem, b_field: float) -> np.ndarray:
 class DonorEigensystem:
     """Eigenstructure at one field, stored in adiabatic-label order.
 
-    energies[k] and states[:, k] belong to label k+1; doublet_m[k] and
-    branches[k] give the conserved projection and the +/- branch.
+    energies[k], states[:, k], sz[k] and concurrence[k] belong to label k+1.
     """
 
     system: SpinSystem
     field_b: float
     energies: np.ndarray        # (D,) MHz
     states: np.ndarray          # (D, D) complex, column per label
-    doublet_m: np.ndarray       # (D,)
-    branches: np.ndarray        # (D,) values +1 / -1
+    sz: np.ndarray              # (D,) <Sz>
+    concurrence: np.ndarray     # (D,) electron-nuclear concurrence
 
     def __post_init__(self):
-        for a in (self.energies, self.states, self.doublet_m, self.branches):
+        for a in (self.energies, self.states, self.sz, self.concurrence):
             a.setflags(write=False)
 
     def energy(self, label: int) -> float:
-        self._check_label(label)
+        check_labels(self.system, label)
         return float(self.energies[label - 1])
 
     def state(self, label: int) -> np.ndarray:
-        self._check_label(label)
+        check_labels(self.system, label)
         return self.states[:, label - 1]
-
-    def _check_label(self, label: int):
-        if not 1 <= label <= self.system.dimension:
-            raise ValueError(f"label must be in 1..{self.system.dimension}, got {label}")
 
 
 def diagonalize(sys: SpinSystem, b_field: float) -> DonorEigensystem:
@@ -213,34 +203,29 @@ def diagonalize(sys: SpinSystem, b_field: float) -> DonorEigensystem:
     branch. Columns are orthonormal, real-valued and exact in their m sector.
     """
     table = level_table(sys, b_field)
-    doublet_m, branches = label_structure(sys)
     return DonorEigensystem(
         system=sys,
         field_b=b_field,
         energies=table.energies[0],
         states=table.states()[0].astype(complex),
-        doublet_m=doublet_m.astype(float),
-        branches=branches,
+        sz=table.sz[0],
+        concurrence=table.concurrence[0],
     )
 
 
 def expectation_sz(eigensystem: DonorEigensystem, label: int) -> float:
-    """<Sz> of the labelled state; +/- cos(theta_m)/2 on a doublet branch."""
-    psi = eigensystem.state(label)
-    ops = spin_operators(eigensystem.system)
-    return float(np.real(psi.conj() @ (ops.sz @ psi)))
+    """<Sz> of the labelled state: +/- cos(theta_m)/2 on a doublet branch,
+    +/- 1/2 on the stretched states."""
+    check_labels(eigensystem.system, label)
+    return float(eigensystem.sz[label - 1])
 
 
 def concurrence(eigensystem: DonorEigensystem, label: int) -> float:
-    """Electron-nuclear entanglement C = sqrt(2 (1 - Tr rho_e^2)).
+    """Electron-nuclear entanglement of the labelled state.
 
-    rho_e is the reduced electron density matrix of the pure eigenstate.
-    C is |sin theta_m| on a doublet branch and exactly 0 for the
-    stretched states.
+    C = |sin theta_m| on a doublet branch and exactly 0 for the stretched
+    states, equal to sqrt(2 (1 - Tr rho_e^2)) for the reduced electron
+    density matrix rho_e of the pure eigenstate.
     """
-    sys = eigensystem.system
-    ni = int(round(2 * sys.nuclear_spin)) + 1
-    psi = eigensystem.state(label).reshape(2, ni)
-    rho_e = psi @ psi.conj().T
-    purity = float(np.real(np.trace(rho_e @ rho_e)))
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+    check_labels(eigensystem.system, label)
+    return float(eigensystem.concurrence[label - 1])

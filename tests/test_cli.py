@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line surface."""
 
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import donorspin
-from donorspin import bell_field, si_bi
+from donorspin import bell_field, concurrence, diagonalize, si_bi
+from donorspin.bath import CceParams, KohnLuttingerModel, LatticeSpec, ensemble_echo
+from donorspin.bath.ensemble import THIRD_NN_FACTOR
 from donorspin.cli import SCHEMA, default_config, load_config, render_config
 from donorspin.cli.main import main
 from donorspin.cli.manifest import file_sha256
@@ -94,6 +98,20 @@ def test_levels_csv_schema_and_concurrences(tmp_path):
     manifest = json.loads((tmp_path / "levels_manifest.json").read_text())
     assert manifest["outputs"]["levels.csv"] == file_sha256(str(tmp_path / "levels.csv"))
     assert manifest["config"]["levels"]["b_steps"] == 1
+
+
+def test_library_concurrence_is_the_levels_csv_column(tmp_path):
+    assert run_cli("levels", "--out", str(tmp_path)) == 0
+    with open(tmp_path / "levels.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    section = default_config()["levels"]
+    grid = np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
+    assert len(rows) == len(grid)
+    sys_bi = si_bi()
+    for b, row in zip(grid.tolist(), rows):
+        es = diagonalize(sys_bi, b)
+        for label in range(1, sys_bi.dimension + 1):
+            assert concurrence(es, label) == float(row[f"C{label}"])
 
 
 def test_resonances_default_run(tmp_path):
@@ -183,6 +201,43 @@ def test_cce_uses_the_configured_donor(tmp_path):
         cfg = write_config(tmp_path, CCE_SMALL + donor)
         assert run_cli("cce", "--config", cfg, "--out", str(tmp_path / sub), "--seed", "11") == 0
     assert (tmp_path / "bi" / "echo.csv").read_bytes() != (tmp_path / "a" / "echo.csv").read_bytes()
+
+
+def _echo_amplitudes(path) -> list[float]:
+    with open(path) as fh:
+        return [float(row["amplitude"]) for row in csv.DictReader(fh)]
+
+
+def test_cce_couplings_use_the_configured_lattice_and_g(tmp_path):
+    # J depends on a0 through the valley wavevector and on g through its prefactor
+    a0_nm, g_factor = 0.5, 1.9985
+    cfg = write_config(tmp_path, CCE_SMALL + f"a0_nm = {a0_nm}\n[donor]\ng_factor = {g_factor}\n")
+    assert run_cli("cce", "--config", cfg, "--out", str(tmp_path), "--seed", "11") == 0
+    params = CceParams(
+        transition=(11, 10),
+        field_b=0.3446,
+        lattice=LatticeSpec(side_nm=7.0, a0_nm=a0_nm),
+        time_grid_ms=tuple(np.linspace(0.0, 0.8, 9).tolist()),
+        n_configs=4,
+        seed=11,
+        r_max_nm=THIRD_NN_FACTOR * a0_nm,
+        model=KohnLuttingerModel(a0_nm=a0_nm, g_factor=g_factor),
+        system=dataclasses.replace(si_bi(), g_factor=g_factor),
+    )
+    written = _echo_amplitudes(tmp_path / "echo.csv")
+    assert written == ensemble_echo(params).amplitude.tolist()
+    default_model = ensemble_echo(dataclasses.replace(params, model=KohnLuttingerModel()))
+    assert written != default_model.amplitude.tolist()
+
+
+@pytest.mark.parametrize("t_steps", ["2", "5"])
+def test_cce_fit_on_too_few_time_points_is_usage_error(tmp_path, capsys, t_steps):
+    cfg = write_config(tmp_path, f"[cce]\nt_steps = {t_steps}\nfit = true\n")
+    out = tmp_path / "out"
+    assert run_cli("cce", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "cce.t_steps" in err and "cce.fit" in err
+    assert not out.exists()
 
 
 def test_cce_chained_fit_in_manifest(tmp_path):

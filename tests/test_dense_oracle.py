@@ -8,12 +8,22 @@ the same adiabatic label; nothing of the engine's own labelling is used.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from donorspin import bell_field, build_hamiltonian, diagonalize, si_bi, spin_operators
+from donorspin import (
+    bell_field,
+    build_hamiltonian,
+    concurrence,
+    diagonalize,
+    expectation_sz,
+    si_bi,
+    spin_operators,
+)
 from donorspin.doublet import level_table
 from donorspin.spectra import df_db, resonance_fields, sx_matrix_element
+from donorspin.spin import SpinSystem
 
 SYS = si_bi()
 OPS = spin_operators(SYS)
@@ -124,3 +134,56 @@ def test_resonance_roots_exact_and_complete_for_every_pair(frequency, ends):
         # every sign change of the scan brackets a root, to within 1e-3 mT
         for k in np.flatnonzero(crossings[:, pair]):
             assert any(grid[k] - 1e-6 <= r <= grid[k + 1] + 1e-6 for r in roots)
+
+
+# an I = 3/2 donor with the hyperfine constant and nuclear Zeeman ratio of Si:As
+AS_LIKE = SpinSystem(electron_spin=0.5, nuclear_spin=1.5, hyperfine_mhz=198.35,
+                     g_factor=1.99837, nuclear_zeeman_delta=2.607e-4)
+
+
+def dense_observables(system: SpinSystem, b_field: float) -> tuple[np.ndarray, np.ndarray]:
+    """(<Sz>, concurrence) by label from the eigenvectors of one dense eigh.
+
+    The shift per unit of Fz, four times the largest absolute row sum of H,
+    is at least twice the spread of the spectrum, so the ascending
+    eigenvalues come in m blocks, lowest m first, with the - branch first
+    within a doublet.
+    The concurrence of a pure state is twice the product of its two
+    Schmidt coefficients, the singular values of its 2 x (2I + 1) amplitudes.
+    """
+    ops = spin_operators(system)
+    fz = np.real(np.diag(ops.sz + ops.iz))
+    h = build_hamiltonian(system, b_field)
+    shift = 4.0 * np.max(np.sum(np.abs(h), axis=1))
+    _, vecs = np.linalg.eigh(h + shift * np.diag(fz))
+    m_order = np.sort(fz)
+    top = system.nuclear_spin + 0.5
+    labels = [system.label_of(m, +1 if m == top or (k > 0 and m_order[k - 1] == m) else -1)
+              for k, m in enumerate(m_order)]
+    sz, schmidt = np.empty(system.dimension), np.empty((system.dimension, 2))
+    sz[np.array(labels) - 1] = np.einsum("ik,ij,jk->k", vecs.conj(), ops.sz, vecs).real
+    schmidt[np.array(labels) - 1] = np.linalg.svd(
+        vecs.T.reshape(system.dimension, 2, -1), compute_uv=False)
+    return sz, 2.0 * schmidt[:, 0] * schmidt[:, 1]
+
+
+def _assert_closed_forms_match_dense(system: SpinSystem, b_field: float) -> None:
+    sz, c = dense_observables(system, b_field)
+    es = diagonalize(system, b_field)
+    for label in range(1, system.dimension + 1):
+        assert abs(expectation_sz(es, label) - sz[label - 1]) < 1e-9
+        assert abs(concurrence(es, label) - c[label - 1]) < 1e-9
+
+
+@pytest.mark.parametrize("system", [SYS, AS_LIKE], ids=["Si:Bi", "I=3/2"])
+def test_sz_and_concurrence_match_dense_at_zero_and_bell_fields(system):
+    negative_doublets = [m for m in system.doublet_ms() if -system.nuclear_spin < m < 0]
+    for b in [0.0, *(bell_field(system, m) for m in negative_doublets)]:
+        _assert_closed_forms_match_dense(system, float(b))
+
+
+@pytest.mark.parametrize("system", [SYS, AS_LIKE], ids=["Si:Bi", "I=3/2"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(b_field=st.floats(0.0, 50.0))
+def test_sz_and_concurrence_match_dense_at_random_fields(system, b_field):
+    _assert_closed_forms_match_dense(system, b_field)
