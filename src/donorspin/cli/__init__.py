@@ -1,7 +1,7 @@
 """Command-line interface: config, manifests, and subcommand handlers."""
 
 from .config import ConfigError, SCHEMA, default_config, load_config, render_config
-from .manifest import build_manifest, file_sha256, json_ready, write_manifest
+from .manifest import build_manifest, file_sha256, json_ready
 
 __all__ = [
     "ConfigError",
@@ -12,5 +12,4 @@ __all__ = [
     "json_ready",
     "load_config",
     "render_config",
-    "write_manifest",
 ]

@@ -1,8 +1,13 @@
 """Command-line surface: figure-reproduction runs with manifests.
 
-Every command resolves (config, seed) to outputs deterministically;
-manifests echo the fully resolved config plus per-output checksums so a
-run can be reproduced bit-exactly from its manifest alone.
+Every command resolves (config, seed) to outputs deterministically.
+A handler `cmd_*` maps the validated config to a `CommandResult`: its
+outputs by file name, the manifest extras and the exit code. It writes
+nothing itself. `main` makes `run.out_dir` before the handler runs and,
+once it returns, writes the outputs in order and the manifest last, so
+a command that fails leaves no output behind. Manifests echo the fully
+resolved config plus per-output checksums, so a run can be reproduced
+bit-exactly from its manifest alone.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import os
 import sys
 import time
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -41,32 +46,38 @@ from ..spectra import (
 )
 from ..doublet import level_table
 from .config import ConfigError, load_config, render_config, spin_system, validate
-from .manifest import build_manifest, json_ready, write_manifest
+from .manifest import build_manifest, json_ready
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Rows of Python ints and floats (from `.tolist()`); a float's repr
-    is the shortest digits that round-trip its bits."""
+class CommandResult(NamedTuple):
+    """What a command produced, for `main` to write.
+
+    `outputs` maps file names, in write order, to their contents: a
+    `.csv` name to (header, columns) with one 1-d array per column, any
+    other name to a JSON payload.
+    """
+
+    outputs: dict[str, Any]
+    extra: dict[str, Any] | None = None
+    code: int = 0
+
+
+_ECHO_HEADER = ["time_ms", "amplitude", "std_of_mean"]
+
+
+def _write(path: str, content: Any) -> None:
+    """Write one output or manifest. CSV rows are streamed from the
+    columns' `.tolist()` Python ints and floats; a float's repr is the
+    shortest digits that round-trip its bits."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-def _write_json(path: str, payload: Any) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(json_ready(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _out_path(config, name: str) -> str:
-    out_dir = config["run"]["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
-def _finish(command: str, config, started: float, outputs: list[str], extra=None) -> None:
-    manifest = build_manifest(command, config, time.monotonic() - started, outputs, extra)
-    write_manifest(_out_path(config, f"{command}_manifest.json"), manifest)
+        if path.endswith(".csv"):
+            header, columns = content
+            fh.write(",".join(header) + "\n")
+            rows = zip(*(column.tolist() for column in columns))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        else:
+            json.dump(json_ready(content), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _fit_result_payload(result: FitResult) -> dict[str, Any]:
@@ -75,32 +86,22 @@ def _fit_result_payload(result: FitResult) -> dict[str, Any]:
     return payload
 
 
-def cmd_print_config(config) -> int:
-    sys.stdout.write(render_config(config))
-    return 0
-
-
 def _field_grid(section) -> np.ndarray:
     """The b_min_t..b_max_t grid of b_steps fields of a config section."""
     return np.linspace(section["b_min_t"], section["b_max_t"], section["b_steps"])
 
 
-def cmd_levels(config) -> int:
-    started = time.monotonic()
+def cmd_levels(config) -> CommandResult:
     system = spin_system(config)
     grid = _field_grid(config["levels"])
     table = level_table(system, grid)
     labels = range(1, system.dimension + 1)
     header = ["B_mT", *(f"E{label}" for label in labels), *(f"C{label}" for label in labels)]
-    path = _out_path(config, "levels.csv")
-    _write_csv(path, header,
-               np.column_stack((grid * 1e3, table.energies, table.concurrence)).tolist())
-    _finish("levels", config, started, [path])
-    return 0
+    columns = (grid * 1e3, *table.energies.T, *table.concurrence.T)
+    return CommandResult({"levels.csv": (header, columns)})
 
 
-def cmd_resonances(config) -> int:
-    started = time.monotonic()
+def cmd_resonances(config) -> CommandResult:
     system = spin_system(config)
     section = config["resonances"]
     transitions = find_all_resonances(
@@ -109,34 +110,26 @@ def cmd_resonances(config) -> int:
         (section["b_min_t"], section["b_max_t"]),
         intensity_floor=section["intensity_floor"],
     )
-    json_path = _out_path(config, "resonances.json")
-    _write_json(json_path, [dataclasses.asdict(tr) for tr in transitions])
     step_t = section["grid_step_mt"] * 1e-3
     n_points = int(round((section["b_max_t"] - section["b_min_t"]) / step_t)) + 1
     grid = np.linspace(section["b_min_t"], section["b_max_t"], n_points)
     curve = synthesize_spectrum(transitions, section["fwhm_mt"], "derivative", grid)
-    csv_path = _out_path(config, "spectrum.csv")
-    _write_csv(csv_path, ["field_t", "signal"],
-               zip(curve.field_grid.tolist(), curve.signal.tolist()))
-    _finish("resonances", config, started, [json_path, csv_path])
-    return 0
+    return CommandResult({
+        "resonances.json": [dataclasses.asdict(tr) for tr in transitions],
+        "spectrum.csv": (["field_t", "signal"], (curve.field_grid, curve.signal)),
+    })
 
 
-def cmd_freqmap(config) -> int:
-    started = time.monotonic()
+def cmd_freqmap(config) -> CommandResult:
     system = spin_system(config)
     grid = _field_grid(config["freqmap"])
     table = frequency_field_map(system, grid, intensity_floor=config["freqmap"]["intensity_floor"])
-    path = _out_path(config, "freqmap.csv")
     # the table's fields are the columns, in order
-    _write_csv(path, ["field_t", "freq_mhz", "intensity", "label_upper", "label_lower"],
-               table.tolist())
-    _finish("freqmap", config, started, [path])
-    return 0
+    header = ["field_t", "freq_mhz", "intensity", "label_upper", "label_lower"]
+    return CommandResult({"freqmap.csv": (header, [table[name] for name in table.dtype.names])})
 
 
-def cmd_rabi(config) -> int:
-    started = time.monotonic()
+def cmd_rabi(config) -> CommandResult:
     system = spin_system(config)
     section = config["rabi"]
     upper, lower = section["label_upper"], section["label_lower"]
@@ -155,10 +148,7 @@ def cmd_rabi(config) -> int:
     if section["input_csv"] is not None:
         data = _read_columns(section["input_csv"], ("time_us", "signal"))
         payload["measured_mhz"] = rabi_peak(data["time_us"], data["signal"])
-    path = _out_path(config, "rabi.json")
-    _write_json(path, payload)
-    _finish("rabi", config, started, [path])
-    return 0
+    return CommandResult({"rabi.json": payload})
 
 
 def _shell_cutoff_nm(config, shell: int) -> float:
@@ -183,50 +173,38 @@ def _cce_params(config) -> CceParams:
     )
 
 
-def _echo_rows(curve):
-    return zip(curve.times_ms.tolist(), curve.amplitude.tolist(), curve.std_of_mean.tolist())
-
-
-def cmd_cce(config) -> int:
-    started = time.monotonic()
+def cmd_cce(config) -> CommandResult:
     params = _cce_params(config)
     # the one-side, one-shell case of a convergence study
     key = (params.lattice.side_nm, params.pair_cutoff_nm)
     study = convergence_study(params, [key[0]], [key[1]], workers=config["run"]["workers"])
     curve = study.curves[key]
-    path = _out_path(config, "echo.csv")
-    _write_csv(path, ["time_ms", "amplitude", "std_of_mean"], _echo_rows(curve))
+    outputs = {"echo.csv": (_ECHO_HEADER, (curve.times_ms, curve.amplitude, curve.std_of_mean))}
     extra = {"workers_used": study.workers_used}
     if not config["cce"]["fit"]:
-        _finish("cce", config, started, [path], extra)
-        return 0
+        return CommandResult(outputs, extra)
     result = fit_echo_decay(curve.times_ms, curve.amplitude)
     extra["fit"] = _fit_result_payload(result)
-    _finish("cce", config, started, [path], extra)
-    return 0 if result.converged else 1
+    return CommandResult(outputs, extra, 0 if result.converged else 1)
 
 
-def cmd_cce_converge(config) -> int:
-    started = time.monotonic()
+def cmd_cce_converge(config) -> CommandResult:
     params = _cce_params(config)
     section = config["converge"]
     resolved = [_shell_cutoff_nm(config, shell) for shell in section["shells"]]
     study = convergence_study(params, list(section["sides_nm"]), resolved,
                               workers=config["run"]["workers"])
-    paths = []
+    outputs = {}
     for shell, r_max in zip(section["shells"], resolved):
         for side in section["sides_nm"]:
             curve = study.curves[(side, r_max)]
-            path = _out_path(config, f"echo_side{side:g}_shell{shell}.csv")
-            _write_csv(path, ["time_ms", "amplitude", "std_of_mean"], _echo_rows(curve))
-            paths.append(path)
+            outputs[f"echo_side{side:g}_shell{shell}.csv"] = (
+                _ECHO_HEADER, (curve.times_ms, curve.amplitude, curve.std_of_mean))
     distances = {
         str(shell): list(study.distances[r_max])
         for shell, r_max in zip(section["shells"], resolved)
     }
-    _finish("cce-converge", config, started, paths,
-            {"distances": distances, "workers_used": study.workers_used})
-    return 0
+    return CommandResult(outputs, {"distances": distances, "workers_used": study.workers_used})
 
 
 def _read_columns(path: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -259,8 +237,7 @@ _FIT_COLUMNS = {
 }
 
 
-def _run_fit(config):
-    """Dispatch on fit.model; returns (result, x, y, model_curve, x_name, y_name)."""
+def cmd_fit(config) -> CommandResult:
     section = config["fit"]
     if section["input_csv"] is None:
         raise ConfigError("fit.input_csv: required for the fit command")
@@ -287,24 +264,14 @@ def _run_fit(config):
         shape = gaussian_sum if section["mode"] == "absorption" else gaussian_derivative_sum
         curve = shape(x * 1e3, [p[f"center_{i}_mt"] for i in lines],
                       [p[f"fwhm_{i}_mt"] for i in lines], [p[f"amp_{i}"] for i in lines])
-    return result, x, y, curve, x_name, y_name
-
-
-def cmd_fit(config) -> int:
-    started = time.monotonic()
-    result, x, y, curve, x_name, y_name = _run_fit(config)
-    json_path = _out_path(config, "fit.json")
-    _write_json(json_path, _fit_result_payload(result))
-    csv_path = _out_path(config, "fit_residual.csv")
-    safe_curve = np.where(np.isfinite(curve), curve, np.nan)
-    _write_csv(csv_path, [x_name, y_name, "model", "residual"],
-               np.column_stack((x, y, safe_curve, safe_curve - y)).tolist())
-    _finish("fit", config, started, [json_path, csv_path])
-    return 0 if result.converged else 1
+    curve = np.where(np.isfinite(curve), curve, np.nan)
+    return CommandResult({
+        "fit.json": _fit_result_payload(result),
+        "fit_residual.csv": ([x_name, y_name, "model", "residual"], (x, y, curve, curve - y)),
+    }, code=0 if result.converged else 1)
 
 
 _COMMANDS = {
-    "print-config": cmd_print_config,
     "levels": cmd_levels,
     "resonances": cmd_resonances,
     "freqmap": cmd_freqmap,
@@ -321,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Donor spin levels, spectra, bath decoherence, and fits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in ("print-config", *_COMMANDS):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="config file path")
         cmd.add_argument("--seed", type=int, default=None, help="override run.seed")
@@ -333,6 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="hold the activation barrier (K) fixed",
             )
     return parser
+
+
+def _unusable_out_dir(exc: OSError) -> ConfigError:
+    return ConfigError(f"run.out_dir: cannot use {exc.filename!r}: {exc.strerror}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -348,7 +319,25 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "fix_delta", None) is not None:
             config["fit"]["fix_delta_k"] = args.fix_delta
         validate(config)
-        return _COMMANDS[args.command](config)
+        if args.command == "print-config":
+            sys.stdout.write(render_config(config))
+            return 0
+        started = time.monotonic()
+        out_dir = config["run"]["out_dir"]
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise _unusable_out_dir(exc) from None
+        result = _COMMANDS[args.command](config)
+        paths = [os.path.join(out_dir, name) for name in result.outputs]
+        try:
+            for path, content in zip(paths, result.outputs.values()):
+                _write(path, content)
+            manifest = build_manifest(args.command, config, started, paths, result.extra)
+            _write(os.path.join(out_dir, f"{args.command}_manifest.json"), manifest)
+        except OSError as exc:
+            raise _unusable_out_dir(exc) from None
+        return result.code
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
+import time
 from typing import Any
 
 from .. import __version__
@@ -37,24 +37,21 @@ def json_ready(obj: Any) -> Any:
 def build_manifest(
     command: str,
     config: dict[str, dict[str, Any]],
-    wall_time_s: float,
+    started: float,
     output_paths: list[str],
     extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
+    """The manifest of a run that began at `time.monotonic()` = `started`
+    and wrote `output_paths`; its wall time runs up to this call."""
     manifest = {
         "command": command,
         "version": __version__,
         "constants_hash": CONSTANTS.hash(),
         "config": json_ready(config),
-        "wall_time_s": wall_time_s,
+        "wall_time_s": time.monotonic() - started,
         "outputs": {os.path.basename(p): file_sha256(p) for p in output_paths},
     }
     if extra:
         manifest.update(json_ready(extra))
     return manifest
 
-
-def write_manifest(path: str, manifest: dict[str, Any]) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -51,8 +51,10 @@ def fit_echo_decay(
     amp = np.asarray(amplitude, dtype=float)
     if len(t) < ECHO_MIN_POINTS:
         raise ValueError(f"need at least {ECHO_MIN_POINTS} points")
-    if np.any(amp <= 0):
-        raise ValueError("echo amplitudes must be positive")
+    # an echo that decays to exactly 0 (underflow) is data; one that is 0
+    # throughout fixes no decay time
+    if np.any(amp < 0) or not np.any(amp > 0):
+        raise ValueError("echo amplitudes must not be negative, and one must be positive")
 
     ts_guess = _decay_time_guess(t, amp)
     amp_guess = float(amp[0])
@@ -196,12 +198,15 @@ def fit_gaussian_lines(
 ) -> FitResult:
     """Fit a sum of Gaussian lines (or their derivatives) to a spectrum.
 
-    Initial centers come from the integrated curve in derivative mode.
-    Lines are numbered by centre; per line the params carry center_i_mt,
-    fwhm_i_mt, amp_i and the analytic area_i. Heavily overlapping lines
-    that leave the normal matrix ill-conditioned report converged = False;
-    conditioning is judged on unit-norm Jacobian columns, so the units of
-    centres, widths and amplitudes do not enter it.
+    Samples are sorted by field first, so a high-to-low sweep fits the
+    same as its ascending copy; the fit needs more samples than its 3 per
+    line parameters. Initial centers come from the integrated curve in
+    derivative mode. Lines are numbered by centre; per line the params
+    carry center_i_mt, fwhm_i_mt, amp_i and the analytic area_i. Heavily
+    overlapping lines that leave the normal matrix ill-conditioned report
+    converged = False; conditioning is judged on unit-norm Jacobian
+    columns, so the units of centres, widths and amplitudes do not enter
+    it.
     """
     if n_lines < 1:
         raise ValueError("need at least one line")
@@ -209,6 +214,10 @@ def fit_gaussian_lines(
         raise ValueError(f"unknown mode {mode!r}")
     x_mt = np.asarray(field_grid_t, dtype=float) * 1e3
     y = np.asarray(signal, dtype=float)
+    if len(x_mt) <= 3 * n_lines:
+        raise ValueError(f"need at least {3 * n_lines + 1} points for {n_lines} line(s)")
+    by_field = np.argsort(x_mt, kind="stable")
+    x_mt, y = x_mt[by_field], y[by_field]
 
     if mode == "derivative":
         proxy = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x_mt))))

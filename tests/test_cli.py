@@ -249,6 +249,78 @@ def test_cce_chained_fit_in_manifest(tmp_path):
     assert manifest["fit"]["converged"] == (code == 0)
 
 
+def test_cce_fully_decayed_echo_gets_the_fit_verdict(tmp_path):
+    # a dense bath decays the echo to exactly 0.0 (underflow) after t = 0
+    cfg = write_config(
+        tmp_path,
+        "[cce]\nside_nm = 8.0\nn_configs = 2\nt_steps = 11\nt_max_ms = 100\nabundance = 1.0\n",
+    )
+    out = tmp_path / "out"
+    code = run_cli("cce", "--config", cfg, "--out", str(out))
+    assert code in (0, 1)
+    assert sorted(p.name for p in out.iterdir()) == ["cce_manifest.json", "echo.csv"]
+    assert _echo_amplitudes(out / "echo.csv")[1:] == [0.0] * 10
+    manifest = json.loads((out / "cce_manifest.json").read_text())
+    assert manifest["fit"]["converged"] == (code == 0)
+
+
+def test_cce_failing_fit_leaves_no_output(tmp_path, capsys, monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise ValueError("fit failed")
+
+    monkeypatch.setattr("donorspin.cli.main.fit_echo_decay", broken_fit)
+    cfg = write_config(tmp_path, CCE_SMALL.replace("fit = false", "fit = true"))
+    out = tmp_path / "out"
+    assert run_cli("cce", "--config", cfg, "--out", str(out)) == 2
+    assert "fit failed" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["levels", "cce"])
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "below-file"])
+def test_unusable_out_dir_is_usage_error_before_any_compute(
+        tmp_path, capsys, monkeypatch, command, inside):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the output directory was checked")
+
+    monkeypatch.setattr("donorspin.cli.main.level_table", no_compute)
+    monkeypatch.setattr("donorspin.cli.main.convergence_study", no_compute)
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if inside else blocker
+    assert run_cli(command, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run.out_dir") and "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+
+
+# every command that writes output, with a small config for each
+OUTPUT_RUNS = {
+    "levels": "[levels]\nb_steps = 5\n",
+    "resonances": "",
+    "freqmap": "[freqmap]\nb_steps = 5\n",
+    "rabi": "",
+    "cce": CCE_SMALL.replace("fit = false", "fit = true"),
+    "cce-converge":
+        "[cce]\nn_configs = 2\nt_steps = 6\n[converge]\nsides_nm = 5.5 7.0\nshells = 2 3\n",
+    "fit": "[fit]\nmodel = echo_decay\ninput_csv = "
+           + os.path.join(FIXTURES, "echo_decay_fixture.csv") + "\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_RUNS))
+def test_manifest_lists_exactly_the_written_files(tmp_path, command):
+    cfg = write_config(tmp_path, OUTPUT_RUNS[command])
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) in (0, 1)
+    manifest_name = f"{command}_manifest.json"
+    manifest = json.loads((out / manifest_name).read_text())
+    written = {p.name for p in out.iterdir()} - {manifest_name}
+    assert written and set(manifest["outputs"]) == written
+    for name, digest in manifest["outputs"].items():
+        assert digest == file_sha256(str(out / name))
+
+
 def test_cce_converge_outputs_and_distances(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from test_dense_oracle import FZ, FZ_SHIFT_MHZ, by_label
+from test_dense_oracle import AS_LIKE, FZ, FZ_SHIFT_MHZ, by_label
 
 from donorspin import (
     bell_field,
@@ -19,6 +21,7 @@ from donorspin import (
     si_bi,
     unmixed_energies,
 )
+from donorspin.doublet import label_structure, level_table
 
 
 def test_mixing_angles_at_the_4ghz_resonance_fields():
@@ -159,3 +162,18 @@ def test_bell_field_domain():
         doublet_params(sys, 5, 0.1)
     with pytest.raises(ValueError):
         doublet_params(sys, -5, 0.1)
+
+
+@pytest.mark.parametrize("system", [si_bi(), AS_LIKE], ids=["Si:Bi", "I=3/2"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(fields=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=40))
+def test_slopes_obey_hellmann_feynman(system, fields):
+    # dE/dB = <dH/dB> = f1 (<Sz> - delta <Iz>), and <Iz> = m - <Sz>
+    grid = [0.0, 2.0, *(bell_field(system, m) for m in system.doublet_ms()
+                        if -system.nuclear_spin < m < 0), *fields]
+    table = level_table(system, grid)
+    m, _ = label_structure(system)
+    f1, delta = system.zeeman_mhz(1.0), system.nuclear_zeeman_delta
+    expected = f1 * (table.sz * (1.0 + delta) - m * delta)
+    # slopes cross zero; there the bound is relative to their scale f1
+    np.testing.assert_allclose(table.slopes, expected, rtol=1e-12, atol=1e-12 * f1)

@@ -92,6 +92,16 @@ def test_echo_decay_validation():
         fit_echo_decay(TIMES, bad)
 
 
+def test_echo_decay_accepts_a_fully_decayed_echo():
+    # an ensemble echo can underflow to exactly 0; that is data, not a usage error
+    amplitude = np.zeros(len(TIMES))
+    amplitude[0] = 1.0
+    result = fit_echo_decay(TIMES, amplitude)
+    assert result.params["amp"] == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="one must be positive"):
+        fit_echo_decay(TIMES, np.zeros(len(TIMES)))
+
+
 def test_echo_decay_cost_history_monotone():
     data = echo_decay(TIMES, 0.97, 5.0, 0.3, 2.3)
     result = fit_echo_decay(TIMES, data)
@@ -314,6 +324,26 @@ def test_gaussian_validation():
         fit_gaussian_lines(grid, np.zeros(100), n_lines=0)
     with pytest.raises(ValueError):
         fit_gaussian_lines(grid, np.zeros(100), n_lines=1, mode="dispersion")
+
+
+@pytest.mark.parametrize("n_points, n_lines", [(1, 1), (3, 1), (6, 2)])
+def test_gaussian_needs_more_points_than_parameters(n_points, n_lines):
+    grid = np.linspace(0.345, 0.347, n_points)
+    with pytest.raises(ValueError, match=f"at least {3 * n_lines + 1} points"):
+        fit_gaussian_lines(grid, gaussian_sum(grid * 1e3, [346.0], [0.7], [1.0]), n_lines)
+
+
+@pytest.mark.parametrize("mode", ["absorption", "derivative"])
+def test_gaussian_descending_sweep_fits_as_ascending(mode):
+    # a noisy 346 mT line on 81 points, swept high to low
+    grid = np.linspace(0.344, 0.348, 81)
+    shape = gaussian_sum if mode == "absorption" else gaussian_derivative_sum
+    signal = shape(grid * 1e3, [346.0], [0.7], [1.0])
+    signal = signal + 0.02 * np.max(np.abs(signal)) * np.random.default_rng(3).standard_normal(81)
+    ascending = fit_gaussian_lines(grid, signal, 1, mode=mode)
+    assert ascending.converged
+    assert ascending.params["center_1_mt"] == pytest.approx(346.0, abs=0.01)
+    assert fit_gaussian_lines(grid[::-1], signal[::-1], 1, mode=mode) == ascending
 
 
 def test_baseline_pure_line_is_zeroed():
