@@ -14,6 +14,13 @@ The total CCE-2 echo is the product over pairs. Single-spin clusters
 contribute exactly 1 (their conditioned Hamiltonians are diagonal, and
 the echo refocuses static phases), so they are omitted as an identity,
 not as an approximation.
+
+The kernel takes K = |n_a x n_b|^2 = C / (w_a^2 w_b^2) once per pair and
+skips the pairs whose factor is exactly 1.0 at every time (C == 0, or a
+loss bound below 2^-54). On a uniform time grid it advances (sin, cos)
+of both angles by one rotation per step, re-seeded from np.sin / np.cos
+every 64 steps; other grids take np.sin per point. It returns one
+product per pair mask, never a (T, P) array of factors.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from .occupancy import BathConfiguration
 # basis order |uu>, |ud>, |du>, |dd>; z-projections of the two spins
 _IKZ = np.array([0.5, 0.5, -0.5, -0.5])
 _ILZ = np.array([0.5, -0.5, 0.5, -0.5])
+# a pair whose loss stays below 2^-54 has 1 - loss == 1.0 exactly
+_EXACT_ONE_LOSS = 2.0**-54
+# steps between exact re-seeds of the kernel's (sin, cos) rotation
+_RESEED_STRIDE = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,24 +83,74 @@ def _pair_hamiltonians(
     return h
 
 
-def _pair_amplitudes(j_k, j_l, b, s_a: float, s_b: float, times_ms) -> np.ndarray:
-    """(T, P) real pair echoes L = 1 - C (2 pi tau)^4 sinc^2(2 w_a tau) sinc^2(2 w_b tau).
+def _uniform_step_us(tau_us: np.ndarray) -> float | None:
+    """The step h of a grid tau_i = i h, or None for any other grid.
 
-    C = |h_a x h_b|^2 = (b dJ (s_a - s_b) / 8)^2; H is in MHz, tau = t/2 in
-    us. np.sinc(x) = sin(pi x) / (pi x) never divides by w, so w = 0 is safe.
+    np.linspace grids have unequal bitwise steps, so the test is each point
+    against i * tau_max / (T - 1), to within a few ulps of tau_max.
     """
+    if len(tau_us) < 2:
+        return None
+    step = tau_us[-1] / (len(tau_us) - 1)
+    drift = np.abs(tau_us - step * np.arange(len(tau_us)))
+    return step if np.all(drift <= 4.0 * np.spacing(tau_us[-1])) else None
+
+
+def _phase(angle: np.ndarray) -> np.ndarray:
+    """cos(angle) + i sin(angle), from np.cos and np.sin."""
+    phase = np.empty(angle.shape, dtype=complex)
+    phase.real, phase.imag = np.cos(angle), np.sin(angle)
+    return phase
+
+
+def _pair_amplitudes(j_k, j_l, b, s_a: float, s_b: float, times_ms, masks) -> np.ndarray:
+    """(M, T) products of the pair echoes over each of the M (P,) pair masks.
+
+    Pair echo L = 1 - K sin^2(2 pi w_a tau) sin^2(2 pi w_b tau) with
+    K = C / (w_a^2 w_b^2) = |n_a x n_b|^2, C = (b dJ (s_a - s_b) / 8)^2;
+    H is in MHz, tau = t/2 in us. Pairs whose L is exactly 1.0 at every
+    time are dropped first: C == 0 (b = 0, dJ = 0 or s_a = s_b; any w = 0
+    implies C == 0), or min(K, C (2 pi tau_max)^4) < 2^-54, as sin^2 x <= x^2
+    keeps the loss below 2^-54 and 1 - loss rounds to 1. On a uniform grid
+    (sin, cos) of both angles advance by one fixed rotation per step, a
+    complex product, and restart from np.sin / np.cos every _RESEED_STRIDE
+    steps, as the rotation gains about an ulp per step; any other grid
+    takes np.sin at each point. No (T, P) array is formed.
+    """
+    tau_us = 500.0 * np.asarray(times_ms, dtype=float)
+    masks = np.asarray(masks, dtype=bool)
     delta_j = j_k - j_l
     c = (0.125 * b * delta_j * (s_a - s_b)) ** 2
-    w_a = np.hypot(0.25 * b, 0.5 * s_a * delta_j)
-    w_b = np.hypot(0.25 * b, 0.5 * s_b * delta_j)
-    out = np.empty((len(times_ms), len(j_k)))
-    for idx, t_ms in enumerate(times_ms):
-        tau_us = float(t_ms) * 500.0
-        loss = c * (2.0 * np.pi * tau_us) ** 4 * (
-            np.sinc(2.0 * w_a * tau_us) * np.sinc(2.0 * w_b * tau_us)
-        ) ** 2
-        # the loss is |n_a x n_b|^2 sin^2 sin^2 <= 1; round-off may pass 1 by an ulp
-        out[idx] = 1.0 - np.minimum(loss, 1.0)
+    keep = (c != 0.0) & np.any(masks, axis=0)
+    c, b, delta_j = c[keep], b[keep], delta_j[keep]
+    w2 = (0.25 * b) ** 2 + (0.5 * np.array([[s_a], [s_b]]) * delta_j) ** 2    # (2, P)
+    k = c / (w2[0] * w2[1])
+    tau_max = np.max(np.abs(tau_us), initial=0.0)
+    moving = np.minimum(k, c * (2.0 * np.pi * tau_max) ** 4) >= _EXACT_ONE_LOSS
+    keep[keep] = moving
+    k, w2 = k[moving], w2[:, moving]
+    # an all-True mask reduces unmasked
+    wheres = [True if mask.all() else mask for mask in masks[:, keep]]
+
+    omega = 2.0 * np.pi * np.sqrt(w2)
+    step = _uniform_step_us(tau_us)
+    if step is not None:
+        rotation = _phase(omega * step)
+    out = np.empty((len(wheres), len(tau_us)))
+    loss = np.empty(len(k))
+    for i, tau in enumerate(tau_us):
+        # phase = cos + i sin of both angles; a complex product rotates it
+        if step is not None and i % _RESEED_STRIDE:
+            phase *= rotation
+        else:
+            phase = _phase(omega * tau)
+        np.multiply(phase.imag[0], phase.imag[1], out=loss)
+        loss *= loss
+        loss *= k
+        # the loss is at most 1; round-off may pass it by an ulp
+        np.minimum(loss, 1.0, out=loss)
+        factor = np.subtract(1.0, loss, out=loss)
+        out[:, i] = [np.prod(factor, where=where) for where in wheres]
     return out
 
 
@@ -106,20 +167,23 @@ def pair_echo(
 
     The bath Zeeman frequency f_z_mhz is accepted but drops out exactly.
     """
-    times = np.asarray(times_ms, dtype=float)
     return _pair_amplitudes(
-        np.array([j_k_mhz]), np.array([j_l_mhz]), np.array([b_mhz]), s_a, s_b, times
-    )[:, 0]
+        np.array([j_k_mhz]), np.array([j_l_mhz]), np.array([b_mhz]), s_a, s_b, times_ms,
+        np.ones((1, 1), dtype=bool),
+    )[0]
 
 
-def _pair_factors(
-    config: BathConfiguration, s_a: float, s_b: float, times_ms: np.ndarray
+def _pair_products(
+    config: BathConfiguration, s_a: float, s_b: float, times_ms: np.ndarray, masks=None
 ) -> np.ndarray:
-    """(T, P) echoes of the configuration's pairs, J gathered by pair."""
+    """(M, T) products of the configuration's pair echoes over each (P,) pair
+    mask, by default the one mask of all pairs; J is gathered by pair."""
     if config.couplings_j is None or config.pair_indices is None or config.pair_b is None:
         raise ValueError("configuration lacks couplings; build it with build_configuration")
     j = config.couplings_j[config.pair_indices]
-    return _pair_amplitudes(j[:, 0], j[:, 1], config.pair_b, s_a, s_b, times_ms)
+    if masks is None:
+        masks = np.ones((1, len(j)), dtype=bool)
+    return _pair_amplitudes(j[:, 0], j[:, 1], config.pair_b, s_a, s_b, times_ms, masks)
 
 
 def cce2_echo(
@@ -137,5 +201,4 @@ def cce2_echo(
     is exactly 1.
     """
     times = np.asarray(times_ms, dtype=float)
-    amplitude = np.prod(_pair_factors(config, s_a, s_b, times), axis=1)
-    return EchoCurve(times_ms=times, amplitude=amplitude)
+    return EchoCurve(times_ms=times, amplitude=_pair_products(config, s_a, s_b, times)[0])

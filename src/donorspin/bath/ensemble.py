@@ -17,7 +17,7 @@ from .couplings import (
     enumerate_pairs,
     superhyperfine_j,
 )
-from .echo import EchoCurve, _pair_factors
+from .echo import EchoCurve, _pair_products
 from .lattice import LatticeSpec
 from .occupancy import BathConfiguration, occupied_positions
 
@@ -93,14 +93,14 @@ def _config_curves(
     its pair echoes evaluated once; each cutoff's curve is the product over
     the pairs within it, by the same squared-distance rule as
     `enumerate_pairs`, so it is exactly the echo of a build at that cutoff.
-    The masked product reads the (T, P) factors without copying them.
+    The kernel forms every cutoff's product in its one pass over the times.
     """
     params, index, cutoffs, s_a, s_b = args
     config = build_configuration(params, index)
     pos, pairs = config.positions, config.pair_indices
     d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=1)
-    factors = _pair_factors(config, s_a, s_b, np.asarray(params.time_grid_ms, dtype=float))
-    return [np.prod(factors, axis=1, where=d2 <= r * r + PAIR_D2_TOL_NM2) for r in cutoffs]
+    masks = np.array([d2 <= r * r + PAIR_D2_TOL_NM2 for r in cutoffs])
+    return list(_pair_products(config, s_a, s_b, params.time_grid_ms, masks))
 
 
 def _mean_curve(curves: list[np.ndarray], times: np.ndarray) -> EchoCurve:

@@ -17,6 +17,7 @@ reference it is tested against.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -52,8 +53,8 @@ class BathConfiguration:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64."""
-    x = (x + _GAMMA).astype(np.uint64)
+    """SplitMix64 finalizer, elementwise and in place on uint64; returns x."""
+    x += _GAMMA
     x ^= x >> np.uint64(30)
     x *= _MIX1
     x ^= x >> np.uint64(27)
@@ -83,9 +84,11 @@ def _chosen(keys: np.ndarray, abundance: float, seed: int) -> np.ndarray:
     if not 0.0 <= abundance <= 1.0:
         raise ValueError("abundance must lie in [0, 1]")
     seed_mixed = _mix64(np.array([seed % (1 << 64)], dtype=np.uint64))[0]
-    stream = _mix64(seed_mixed ^ keys)
-    uniform = (stream >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return (uniform < abundance) & (keys != _DONOR_KEY)
+    stream = _mix64(keys ^ seed_mixed)
+    # uniform = (stream >> 11) 2^-53 < abundance, decided on the integers:
+    # n < x holds for an integer n exactly when n < ceil(x)
+    stream >>= np.uint64(11)
+    return (stream < np.uint64(math.ceil(abundance * 2.0**53))) & (keys != _DONOR_KEY)
 
 
 def occupy(
@@ -129,7 +132,7 @@ def occupied_positions(
     keys0 = _pack_keys(q0)
     chunks = []
     for i in range(n):
-        q = q0[_chosen(keys0 + np.uint64(4 * i), abundance, seed)]
+        q = np.compress(_chosen(keys0 + np.uint64(4 * i), abundance, seed), q0, axis=0)
         q[:, 0] += 4 * i
         chunks.append(q)
     return np.concatenate(chunks) * (spec.a0_nm / 4.0)

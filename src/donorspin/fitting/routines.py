@@ -46,6 +46,8 @@ def fit_echo_decay(
     limit is found exactly. T2 is fitted as a rate so an absent
     exponential channel sits at rate 0 instead of an unreachable large
     time; params report T2_ms = 1/rate (inf when the rate fits to 0).
+    An echo whose every amplitude equals its first fixes no decay time, so
+    its fit reports converged = False whatever the solver reached.
     """
     t = np.asarray(times_ms, dtype=float)
     amp = np.asarray(amplitude, dtype=float)
@@ -73,6 +75,8 @@ def fit_echo_decay(
     solutions = [levenberg_fit(residual, x0, lo, hi) for x0 in starts]
     # best residual wins; the flag only breaks exact ties
     best = min(solutions, key=lambda s: (s.cost_history[-1], not s.converged))
+    if np.all(amp == amp[0]):
+        best = dataclasses.replace(best, converged=False)
     result = build_result(best, ["amp", "rate_per_ms", "TS_ms", "n"])
     params, errors = dict(result.params), dict(result.std_errors)
     rate, rate_error = params.pop("rate_per_ms"), errors.pop("rate_per_ms", None)

@@ -264,6 +264,21 @@ def test_cce_fully_decayed_echo_gets_the_fit_verdict(tmp_path):
     assert manifest["fit"]["converged"] == (code == 0)
 
 
+def test_cce_flat_echo_fit_is_unconverged(tmp_path):
+    # no bath spins: every amplitude is 1, which fixes no TS or n
+    cfg = write_config(
+        tmp_path,
+        "[cce]\nside_nm = 5.0\nn_configs = 2\nt_steps = 11\nabundance = 0.0\nfit = true\n",
+    )
+    out = tmp_path / "out"
+    assert run_cli("cce", "--config", cfg, "--out", str(out)) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["cce_manifest.json", "echo.csv"]
+    assert _echo_amplitudes(out / "echo.csv") == [1.0] * 11
+    manifest = json.loads((out / "cce_manifest.json").read_text())
+    assert manifest["fit"]["converged"] is False
+    assert manifest["fit"]["std_errors"] == {}
+
+
 def test_cce_failing_fit_leaves_no_output(tmp_path, capsys, monkeypatch):
     def broken_fit(*args, **kwargs):
         raise ValueError("fit failed")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from donorspin.bath import BathConfiguration, cce2_echo, pair_echo
+from donorspin.bath import BathConfiguration, cce2_echo, echo, pair_echo
 from donorspin.bath.echo import EchoCurve, _pair_hamiltonians
 
 TIMES = np.array([0.0, 0.05, 0.2, 0.7, 1.5])
@@ -186,3 +186,99 @@ def test_echo_curve_validation():
     curve = EchoCurve(times_ms=np.array([0.0, 0.2]), amplitude=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         curve.amplitude[1] = 0.9
+
+
+def _realistic_pairs(count, seed):
+    """(j_k, j_l, b) in MHz at the scale of a natural-abundance Si bath."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 0.5, count), rng.normal(0.0, 0.5, count), rng.normal(0.0, 5e-4, count)
+
+
+def _per_point(monkeypatch, *args):
+    """The kernel with the uniform-grid rotation switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(echo, "_uniform_step_us", lambda tau_us: None)
+        return echo._pair_amplitudes(*args)
+
+
+def test_rotation_matches_per_point_sin_past_the_reseed_stride(monkeypatch):
+    j_k, j_l, b = _realistic_pairs(4000, seed=5)
+    times = np.arange(1001) * (2.0 / 1000)
+    assert len(times) > 10 * echo._RESEED_STRIDE
+    assert echo._uniform_step_us(500.0 * times) is not None
+    masks = np.ones((1, len(b)), dtype=bool)
+    rotated = echo._pair_amplitudes(j_k, j_l, b, 0.29, -0.21, times, masks)
+    direct = _per_point(monkeypatch, j_k, j_l, b, 0.29, -0.21, times, masks)
+    assert np.min(direct) < 0.5
+    np.testing.assert_allclose(rotated, direct, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("t_max_ms, t_steps", [(1.0, 51), (1.0, 201), (2.5, 130), (0.3, 7)])
+def test_linspace_grids_take_the_rotation_and_match_per_point(monkeypatch, t_max_ms, t_steps):
+    # np.linspace steps differ bitwise (7 distinct steps at 51 points on
+    # [0, 1]); the uniform test must accept them anyway
+    times = np.linspace(0.0, t_max_ms, t_steps)
+    assert echo._uniform_step_us(500.0 * times) is not None
+    j_k, j_l, b = _realistic_pairs(300, seed=t_steps)
+    masks = np.array([np.ones(len(b), dtype=bool), np.arange(len(b)) % 3 == 0])
+    rotated = echo._pair_amplitudes(j_k, j_l, b, 0.29, -0.21, times, masks)
+    direct = _per_point(monkeypatch, j_k, j_l, b, 0.29, -0.21, times, masks)
+    np.testing.assert_allclose(rotated, direct, rtol=1e-13, atol=0.0)
+
+
+def test_non_uniform_grids_take_the_per_point_path():
+    assert echo._uniform_step_us(500.0 * TIMES) is None
+    assert echo._uniform_step_us(np.array([0.0])) is None
+    assert echo._uniform_step_us(500.0 * np.linspace(0.1, 1.0, 10)) is None
+
+
+def _below_cut(j_k, j_l, b, s_a, s_b, tau_max_us):
+    """Whether the pair's loss can never reach 2^-54 (the kernel's drop rule)."""
+    c = (0.125 * b * (j_k - j_l) * (s_a - s_b)) ** 2
+    if c == 0.0:
+        return True
+    w2_a = (0.25 * b) ** 2 + (0.5 * s_a * (j_k - j_l)) ** 2
+    w2_b = (0.25 * b) ** 2 + (0.5 * s_b * (j_k - j_l)) ** 2
+    return min(c / (w2_a * w2_b), c * (2.0 * np.pi * tau_max_us) ** 4) < 2.0**-54
+
+
+def _pair_set(seed):
+    """A random pair set straddling the drop rule: |b| spans 1e-12 to 1e-2 MHz,
+    and b = 0, J_k = J_l and s_a = s_b are drawn on purpose."""
+    rng = np.random.default_rng(seed)
+    count = rng.integers(0, 21)
+    j_k = rng.uniform(-1.5, 1.5, count)
+    j_l = np.where(rng.random(count) < 0.15, j_k, rng.uniform(-1.5, 1.5, count))
+    b = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-12.0, -2.0, count)
+    b[rng.random(count) < 0.15] = 0.0
+    s_a, s_b = rng.uniform(-0.5, 0.5, 2)
+    if rng.random() < 0.2:
+        s_b = s_a
+    times = TIMES if rng.random() < 0.3 else np.linspace(
+        0.0, rng.uniform(0.01, 2.0), rng.integers(2, 141))
+    return j_k, j_l, b, s_a, s_b, times
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pair_set_product_equals_the_product_of_pair_echoes(seed):
+    j_k, j_l, b, s_a, s_b, times = _pair_set(seed)
+    masks = np.ones((1, len(b)), dtype=bool)
+    product = echo._pair_amplitudes(j_k, j_l, b, s_a, s_b, times, masks)[0]
+    pairs = [pair_echo(*pair, s_a, s_b, times) for pair in zip(j_k, j_l, b)]
+    np.testing.assert_allclose(product, np.prod(pairs, axis=0), rtol=1e-13, atol=0.0)
+    # the sinc form of the same closed form, with no pair dropped
+    tau_us = 500.0 * times
+    delta_j = j_k - j_l
+    c = (0.125 * b * delta_j * (s_a - s_b)) ** 2
+    w_a = np.hypot(0.25 * b, 0.5 * s_a * delta_j)
+    w_b = np.hypot(0.25 * b, 0.5 * s_b * delta_j)
+    loss = c * (2 * np.pi * tau_us[:, None]) ** 4 * (
+        np.sinc(2 * w_a * tau_us[:, None]) * np.sinc(2 * w_b * tau_us[:, None])) ** 2
+    undropped = 1.0 - np.minimum(loss, 1.0)
+    np.testing.assert_allclose(product, np.prod(undropped, axis=1), rtol=1e-13, atol=1e-15)
+    below = np.array([_below_cut(*pair, s_a, s_b, tau_us[-1]) for pair in zip(j_k, j_l, b)],
+                     dtype=bool)
+    assert np.all(undropped[:, below] == 1.0)
+    if np.all(below):
+        assert np.all(product == 1.0)

@@ -102,6 +102,14 @@ def test_echo_decay_accepts_a_fully_decayed_echo():
         fit_echo_decay(TIMES, np.zeros(len(TIMES)))
 
 
+@pytest.mark.parametrize("level", [1.0, 0.37])
+def test_echo_decay_of_a_flat_echo_is_unconverged(level):
+    # a constant echo fixes no decay time, whatever the solver settles on
+    result = fit_echo_decay(TIMES, np.full(len(TIMES), level))
+    assert not result.converged
+    assert result.std_errors == {}
+
+
 def test_echo_decay_cost_history_monotone():
     data = echo_decay(TIMES, 0.97, 5.0, 0.3, 2.3)
     result = fit_echo_decay(TIMES, data)

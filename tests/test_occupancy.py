@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from donorspin.bath import LatticeSpec, generate_lattice, occupied_positions, occupy
+from donorspin.bath.occupancy import _DONOR_KEY, _chosen, _site_keys
 
 A0 = 0.543
 
@@ -113,3 +114,44 @@ def test_streamed_occupancy_checks_its_inputs():
     # 2^19 cells per axis: rejected before any plane is built
     with pytest.raises(ValueError, match="too large"):
         occupied_positions(LatticeSpec(side_nm=A0 * (2**19 + 0.5)), 0.05, seed=0)
+
+
+def _splitmix64(x):
+    mask = (1 << 64) - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+def _hashes(keys, seed):
+    """Each site's 64-bit hash, on Python integers."""
+    seed_mixed = _splitmix64(seed % (1 << 64))
+    return [_splitmix64(seed_mixed ^ int(k)) for k in keys]
+
+
+def _float_rule(keys, abundance, seed):
+    """The decision as a float compare, (h >> 11) 2^-53 < abundance; the
+    donor's key is left to the caller."""
+    return np.array([(h >> 11) * 2.0**-53 < abundance for h in _hashes(keys, seed)])
+
+
+def test_integer_decision_equals_the_float_compare():
+    keys = _site_keys(generate_lattice(LatticeSpec(side_nm=2.0)), A0)
+    not_donor = keys != _DONOR_KEY
+    seed = 2024
+    # a site's own uniform is an abundance whose 2^53 multiple is an integer:
+    # that site sits on the strict boundary and stays empty. In [1/4, 1/2)
+    # the float spacing is 2^-54, so the neighbouring abundances are not
+    uniforms = np.sort([(h >> 11) * 2.0**-53 for h in _hashes(keys, seed)])
+    edge = float(uniforms[2 * len(uniforms) // 5])
+    assert 0.25 <= edge < 0.5 and (edge * 2.0**53).is_integer()
+    assert not (np.nextafter(edge, 1.0) * 2.0**53).is_integer()
+    for abundance in (0.0, 1.0, 0.5, 0.0467, edge, np.nextafter(edge, 1.0),
+                      np.nextafter(edge, 0.0), 2.0**-53, 1.0 - 2.0**-53):
+        want = _float_rule(keys, abundance, seed) & not_donor
+        assert np.array_equal(_chosen(keys, abundance, seed), want), abundance
+    assert np.sum(_chosen(keys, 0.0, seed)) == 0
+    assert np.array_equal(_chosen(keys, 1.0, seed), not_donor)
+    assert np.sum(_chosen(keys, np.nextafter(edge, 1.0), seed)) == (
+        np.sum(_chosen(keys, edge, seed)) + 1)
