@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -79,16 +80,25 @@ def _site_keys(positions: np.ndarray, a0_nm: float) -> np.ndarray:
     return _pack_keys(np.rint(positions * (4.0 / a0_nm)).astype(np.int64))
 
 
-def _chosen(keys: np.ndarray, abundance: float, seed: int) -> np.ndarray:
-    """Occupation decision of each keyed site; the donor is never chosen."""
+def _chooser(abundance: float, seed: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The occupation decision of keyed sites for one (abundance, seed).
+
+    Checks the abundance and mixes the seed once; the returned function
+    maps uint64 keys to each site's decision and never chooses the donor.
+    """
     if not 0.0 <= abundance <= 1.0:
         raise ValueError("abundance must lie in [0, 1]")
     seed_mixed = _mix64(np.array([seed % (1 << 64)], dtype=np.uint64))[0]
-    stream = _mix64(keys ^ seed_mixed)
     # uniform = (stream >> 11) 2^-53 < abundance, decided on the integers:
     # n < x holds for an integer n exactly when n < ceil(x)
-    stream >>= np.uint64(11)
-    return (stream < np.uint64(math.ceil(abundance * 2.0**53))) & (keys != _DONOR_KEY)
+    threshold = np.uint64(math.ceil(abundance * 2.0**53))
+
+    def chosen(keys: np.ndarray) -> np.ndarray:
+        stream = _mix64(keys ^ seed_mixed)
+        stream >>= np.uint64(11)
+        return (stream < threshold) & (keys != _DONOR_KEY)
+
+    return chosen
 
 
 def occupy(
@@ -103,7 +113,7 @@ def occupy(
     platforms: decisions use integer hashing only.
     """
     sites = np.asarray(sites, dtype=float)
-    chosen = _chosen(_site_keys(sites, a0_nm), abundance, seed)
+    chosen = _chooser(abundance, seed)(_site_keys(sites, a0_nm))
     return BathConfiguration(seed=seed, positions=sites[chosen].copy())
 
 
@@ -119,6 +129,7 @@ def occupied_positions(
     a plane's keys are the first plane's plus 4 per cell step in x, since
     x fills the low bits of the key and never carries.
     """
+    chosen = _chooser(abundance, seed)
     n = spec.cells_per_axis
     # the donor is the site nearest the centre (2n quarter steps in on each
     # axis), ties to the lexicographically first: the centre itself for
@@ -132,7 +143,7 @@ def occupied_positions(
     keys0 = _pack_keys(q0)
     chunks = []
     for i in range(n):
-        q = np.compress(_chosen(keys0 + np.uint64(4 * i), abundance, seed), q0, axis=0)
+        q = np.compress(chosen(keys0 + np.uint64(4 * i)), q0, axis=0)
         q[:, 0] += 4 * i
         chunks.append(q)
     return np.concatenate(chunks) * (spec.a0_nm / 4.0)

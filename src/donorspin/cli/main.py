@@ -26,16 +26,11 @@ from ..bath import CceParams, KohnLuttingerModel, LatticeSpec, convergence_study
 from ..bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
 from ..fitting import (
     FitResult,
-    echo_decay,
-    exp_recovery,
     fit_echo_decay,
     fit_exp_recovery,
     fit_gaussian_lines,
     fit_t1_temperature,
-    gaussian_derivative_sum,
-    gaussian_sum,
     rabi_peak,
-    t1_rate,
 )
 from ..spectra import (
     find_all_resonances,
@@ -82,7 +77,7 @@ def _write(path: str, content: Any) -> None:
 
 def _fit_result_payload(result: FitResult) -> dict[str, Any]:
     payload = dataclasses.asdict(result)
-    del payload["cost_history"]
+    del payload["cost_history"], payload["fitted"]
     return payload
 
 
@@ -228,12 +223,16 @@ def _read_columns(path: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
     return columns
 
 
-# fit.model -> (x, y) columns of its input csv
-_FIT_COLUMNS = {
-    "echo_decay": ("time_ms", "amplitude"),
-    "t1_raman_orbach": ("temp_k", "rate_per_s"),
-    "exp_recovery": ("time_ms", "magnetization"),
-    "gaussian_lines": ("field_t", "signal"),
+# fit.model -> (x, y) columns of its input csv, the fit routine, and the
+# routine's keyword arguments by the [fit] key that sets each
+FIT_MODELS = {
+    "echo_decay": ("time_ms", "amplitude", fit_echo_decay,
+                   {"free_amplitude": "free_amplitude"}),
+    "t1_raman_orbach": ("temp_k", "rate_per_s", fit_t1_temperature,
+                        {"delta_fixed_k": "fix_delta_k"}),
+    "exp_recovery": ("time_ms", "magnetization", fit_exp_recovery, {}),
+    "gaussian_lines": ("field_t", "signal", fit_gaussian_lines,
+                       {"n_lines": "n_lines", "mode": "mode"}),
 }
 
 
@@ -241,30 +240,11 @@ def cmd_fit(config) -> CommandResult:
     section = config["fit"]
     if section["input_csv"] is None:
         raise ConfigError("fit.input_csv: required for the fit command")
-    model = section["model"]
-    x_name, y_name = _FIT_COLUMNS[model]
+    x_name, y_name, routine, keys = FIT_MODELS[section["model"]]
     data = _read_columns(section["input_csv"], (x_name, y_name))
     x, y = data[x_name], data[y_name]
-    if model == "echo_decay":
-        result = fit_echo_decay(x, y, free_amplitude=section["free_amplitude"])
-        p = result.params
-        curve = echo_decay(x, p["amp"], p["T2_ms"], p["TS_ms"], p["n"])
-    elif model == "t1_raman_orbach":
-        result = fit_t1_temperature(x, y, delta_fixed_k=section["fix_delta_k"])
-        p = result.params
-        curve = t1_rate(x, p["P"], p["E"], p["Delta_K"])
-    elif model == "exp_recovery":
-        result = fit_exp_recovery(x, y)
-        p = result.params
-        curve = exp_recovery(x, p["M0"], p["T1_ms"], p["offset"])
-    else:  # gaussian_lines
-        result = fit_gaussian_lines(x, y, section["n_lines"], mode=section["mode"])
-        p = result.params
-        lines = range(1, section["n_lines"] + 1)
-        shape = gaussian_sum if section["mode"] == "absorption" else gaussian_derivative_sum
-        curve = shape(x * 1e3, [p[f"center_{i}_mt"] for i in lines],
-                      [p[f"fwhm_{i}_mt"] for i in lines], [p[f"amp_{i}"] for i in lines])
-    curve = np.where(np.isfinite(curve), curve, np.nan)
+    result = routine(x, y, **{arg: section[key] for arg, key in keys.items()})
+    curve = np.where(np.isfinite(result.fitted), result.fitted, np.nan)
     return CommandResult({
         "fit.json": _fit_result_payload(result),
         "fit_residual.csv": ([x_name, y_name, "model", "residual"], (x, y, curve, curve - y)),

@@ -29,6 +29,7 @@ the level engine behind `spin.diagonalize` and the spectra.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,14 +53,15 @@ class DoubletParams:
 
 
 def check_labels(sys: SpinSystem, *labels: int) -> None:
-    """Raise ValueError unless every label lies in 1..D."""
+    """Raise ValueError unless every label is an integer in 1..D."""
     for label in labels:
-        if not 1 <= label <= sys.dimension:
-            raise ValueError(f"label must be in 1..{sys.dimension}, got {label}")
+        if not (isinstance(label, numbers.Integral) and 1 <= label <= sys.dimension):
+            raise ValueError(f"label must be an integer in 1..{sys.dimension}, got {label}")
 
 
 def label_structure(sys: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(m, branch) of labels 1..D, the inverse of `SpinSystem.label_of`."""
+    """(m, branch) of labels 1..D: the one statement of the adiabatic
+    labels, which `SpinSystem.label_of` looks up."""
     top = sys.nuclear_spin + 0.5
     labels = np.arange(1, sys.dimension + 1)
     lower = labels <= 2 * top
@@ -146,18 +148,15 @@ def level_table(sys: SpinSystem, b_fields) -> LevelTable:
     )
 
 
-def _check_doublet_m(sys: SpinSystem, m: float) -> float:
-    top = sys.nuclear_spin + 0.5
-    if abs(m) > top - 1 + 1e-9:
+def _check_doublet_m(sys: SpinSystem, m: float) -> None:
+    """Raise ValueError unless m is one of the 2x2 doublets."""
+    if m not in sys.doublet_ms()[1:-1]:
         raise ValueError(f"m={m} is not a doublet of I={sys.nuclear_spin}")
-    if abs(m - round(m)) > 1e-9 and abs(2 * m - round(2 * m)) > 1e-9:
-        raise ValueError(f"m={m} is not on the m ladder")
-    return m
 
 
 def doublet_params(sys: SpinSystem, m: float, b_field: float) -> DoubletParams:
     """Doublet parameters for projection m at field b_field (tesla)."""
-    m = _check_doublet_m(sys, m)
+    _check_doublet_m(sys, m)
     table, k = level_table(sys, b_field), int(round(sys.nuclear_spin + 0.5 - m))
     return DoubletParams(
         m=m, delta_detuning=float(table.delta[0, k]), omega=float(table.omega[k]),
@@ -174,8 +173,6 @@ def doublet_energies(sys: SpinSystem, m: float, b_field: float) -> tuple[float, 
 
 def doublet_state(sys: SpinSystem, m: float, b_field: float, branch: int) -> np.ndarray:
     """Analytic eigenvector of (m, branch) embedded in the product basis."""
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
     _check_doublet_m(sys, m)
     return level_table(sys, b_field).states()[0, :, sys.label_of(m, branch) - 1]
 
@@ -198,7 +195,7 @@ def bell_field(sys: SpinSystem, m: float) -> float:
     At this field theta_m = pi/2, both branches are even/odd Bell-like
     superpositions, <Sz> vanishes and the concurrence is 1.
     """
-    m = _check_doublet_m(sys, m)
+    _check_doublet_m(sys, m)
     if m >= 0:
         raise ValueError("maximal mixing needs m < 0 (Delta_m = 0 unreachable)")
     f0 = -m * sys.hyperfine_mhz / (1.0 + sys.nuclear_zeeman_delta)

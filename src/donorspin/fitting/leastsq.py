@@ -35,7 +35,8 @@ class FitResult:
 
     std_errors is populated only for converged fits, and omits parameters
     whose Jacobian column is numerically null (unidentifiable directions)
-    or that were held fixed.
+    or that were held fixed. fitted is the model function at the reported
+    params, at the samples in the order given; it takes no part in ==.
     """
 
     params: dict[str, float]
@@ -44,6 +45,7 @@ class FitResult:
     converged: bool
     n_iterations: int
     cost_history: tuple[float, ...]
+    fitted: np.ndarray = dataclasses.field(compare=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.residual_norm):
@@ -193,8 +195,9 @@ def standard_errors(solution: _Solution, names: list[str]) -> dict[str, float]:
     return {name: float(error) for name, error in zip(kept, np.sqrt(variances))}
 
 
-def build_result(solution: _Solution, names: list[str]) -> FitResult:
-    """Package a solution with named parameters and standard errors."""
+def build_result(solution: _Solution, names: list[str], fitted: np.ndarray) -> FitResult:
+    """Package a solution with named parameters, standard errors and the
+    fitted curve."""
     return FitResult(
         params={name: float(v) for name, v in zip(names, solution.x)},
         std_errors=standard_errors(solution, names),
@@ -202,4 +205,5 @@ def build_result(solution: _Solution, names: list[str]) -> FitResult:
         converged=solution.converged,
         n_iterations=solution.n_iterations,
         cost_history=solution.cost_history,
+        fitted=fitted,
     )

@@ -77,11 +77,15 @@ def fit_echo_decay(
     best = min(solutions, key=lambda s: (s.cost_history[-1], not s.converged))
     if np.all(amp == amp[0]):
         best = dataclasses.replace(best, converged=False)
-    result = build_result(best, ["amp", "rate_per_ms", "TS_ms", "n"])
+    amp_fit, rate, ts_fit, n_fit = (float(v) for v in best.x)
+    t2_fit = 1.0 / rate if rate > 0 else math.inf
+    result = build_result(best, ["amp", "rate_per_ms", "TS_ms", "n"],
+                          echo_decay(t, amp_fit, t2_fit, ts_fit, n_fit))
     params, errors = dict(result.params), dict(result.std_errors)
-    rate, rate_error = params.pop("rate_per_ms"), errors.pop("rate_per_ms", None)
-    params["T2_ms"] = 1.0 / rate if rate > 0 else math.inf
-    if rate_error is not None and rate > 0 and 1.0 / rate <= T2_EFFECTIVELY_INFINITE_MS:
+    del params["rate_per_ms"]
+    rate_error = errors.pop("rate_per_ms", None)
+    params["T2_ms"] = t2_fit
+    if rate_error is not None and t2_fit <= T2_EFFECTIVELY_INFINITE_MS:
         errors["T2_ms"] = rate_error / rate**2
     return dataclasses.replace(result, params=params, std_errors=errors)
 
@@ -133,7 +137,7 @@ def fit_t1_temperature(
         return t1_rate(temps, x[0], x[1], x[2]) - rates
 
     solution = levenberg_fit(residual, x0, lo, hi)
-    return build_result(solution, ["P", "E", "Delta_K"])
+    return build_result(solution, ["P", "E", "Delta_K"], t1_rate(temps, *solution.x))
 
 
 def fit_exp_recovery(times_ms: np.ndarray, magnetization: np.ndarray) -> FitResult:
@@ -145,13 +149,15 @@ def fit_exp_recovery(times_ms: np.ndarray, magnetization: np.ndarray) -> FitResu
     spread = float(np.ptp(m))
     if spread == 0.0:
         # saturated input: T1 carries no information
+        offset = float(m[0])
         return FitResult(
-            params={"M0": 0.0, "T1_ms": math.nan, "offset": float(m[0])},
+            params={"M0": 0.0, "T1_ms": math.nan, "offset": offset},
             std_errors={},
             residual_norm=0.0,
             converged=False,
             n_iterations=0,
             cost_history=(0.0,),
+            fitted=exp_recovery(t, 0.0, math.nan, offset),
         )
 
     m0_guess = (float(m[-1]) - float(m[0])) / 2.0
@@ -169,7 +175,7 @@ def fit_exp_recovery(times_ms: np.ndarray, magnetization: np.ndarray) -> FitResu
         return exp_recovery(t, x[0], x[1], x[2]) - m
 
     solution = levenberg_fit(residual, np.array([m0_guess, t1_guess, offset_guess]), lo, hi)
-    return build_result(solution, names)
+    return build_result(solution, names, exp_recovery(t, *solution.x))
 
 
 def _initial_lines(x_mt, signal, n_lines):
@@ -216,12 +222,12 @@ def fit_gaussian_lines(
         raise ValueError("need at least one line")
     if mode not in ("absorption", "derivative"):
         raise ValueError(f"unknown mode {mode!r}")
-    x_mt = np.asarray(field_grid_t, dtype=float) * 1e3
+    field_mt = np.asarray(field_grid_t, dtype=float) * 1e3
     y = np.asarray(signal, dtype=float)
-    if len(x_mt) <= 3 * n_lines:
+    if len(field_mt) <= 3 * n_lines:
         raise ValueError(f"need at least {3 * n_lines + 1} points for {n_lines} line(s)")
-    by_field = np.argsort(x_mt, kind="stable")
-    x_mt, y = x_mt[by_field], y[by_field]
+    by_field = np.argsort(field_mt, kind="stable")
+    x_mt, y = field_mt[by_field], y[by_field]
 
     if mode == "derivative":
         proxy = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x_mt))))
@@ -256,7 +262,7 @@ def fit_gaussian_lines(
     names = []
     for i in range(1, n_lines + 1):
         names += [f"center_{i}_mt", f"fwhm_{i}_mt", f"amp_{i}"]
-    result = build_result(solution, names)
+    result = build_result(solution, names, model_fn(field_mt, x[0::3], x[1::3], x[2::3]))
     p = result.params
     areas = {
         f"area_{i}": gaussian_area(p[f"amp_{i}"], p[f"fwhm_{i}_mt"]) for i in range(1, n_lines + 1)

@@ -40,7 +40,7 @@ from .constants import (
     BI_NUCLEAR_ZEEMAN_DELTA,
     CONSTANTS,
 )
-from .doublet import check_labels, level_table
+from .doublet import check_labels, label_structure, level_table
 
 
 def _check_spin(j: float) -> float:
@@ -107,17 +107,13 @@ class SpinSystem:
         return top - np.arange(int(round(2 * top)) + 1)
 
     def label_of(self, m: float, branch: int) -> int:
-        """Adiabatic label for (m, branch); branch is +1 or -1."""
-        top = self.nuclear_spin + 0.5
-        if branch not in (+1, -1):
-            raise ValueError("branch must be +1 or -1")
-        if abs(m) > top or (branch == +1 and m == -top) or (branch == -1 and m == top):
-            raise ValueError(f"no state with m={m}, branch={branch:+d}")
-        label = 3 * top + m if branch == +1 else top - m
-        rounded = round(label)
-        if abs(label - rounded) > 1e-9:
-            raise ValueError(f"non-integer label for m={m}")
-        return int(rounded)
+        """Adiabatic label of (m, branch) in `doublet.label_structure`;
+        branch is +1 or -1."""
+        ms, branches = label_structure(self)
+        found = np.flatnonzero((ms == m) & (branches == branch))
+        if len(found) == 0:
+            raise ValueError(f"no state with m={m}, branch={branch}")
+        return int(found[0]) + 1
 
 
 def si_bi() -> SpinSystem:

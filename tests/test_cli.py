@@ -418,6 +418,86 @@ def test_fit_nonconverged_exit_1(tmp_path):
     assert result["converged"] is False
 
 
+def _write_columns(path, names, x, y):
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+
+
+def _fit_cases():
+    """(fit section lines, x, y, input columns, model curve at params)."""
+    from donorspin.fitting import (
+        echo_decay, exp_recovery, gaussian_derivative_sum, gaussian_sum, t1_rate)
+
+    def lines(shape, n_lines):
+        def curve(x, p):
+            ids = range(1, n_lines + 1)
+            return shape(x * 1e3, [p[f"center_{i}_mt"] for i in ids],
+                         [p[f"fwhm_{i}_mt"] for i in ids], [p[f"amp_{i}"] for i in ids])
+        return curve
+
+    times = np.linspace(0.0, 1.0, 21)
+    temps = np.linspace(10.0, 60.0, 14)
+    recovery = np.linspace(0.0, 10.0, 15)
+    sweep = np.linspace(0.180, 0.110, 351)  # descending
+    noise = 0.01 * np.random.default_rng(4).standard_normal(len(sweep))
+    derivative = gaussian_derivative_sum(sweep * 1e3, [130.0, 160.0], [4.0, 5.0], [1.0, 0.6])
+    echo = lambda x, p: echo_decay(x, p["amp"], p["T2_ms"], p["TS_ms"], p["n"])
+    return {
+        "echo_fixed_amplitude": (
+            "model = echo_decay\nfree_amplitude = false\n", times,
+            np.exp(-times / 2.0 - (times / 0.3) ** 2.3), ("time_ms", "amplitude"), echo),
+        "echo_free_amplitude": (
+            "model = echo_decay\n", times, 0.9 * np.exp(-(times / 0.3) ** 2.3),
+            ("time_ms", "amplitude"), echo),
+        "t1_fixed_delta": (
+            "model = t1_raman_orbach\nfix_delta_k = 500\n", temps,
+            t1_rate(temps, 1.26e-5, 3e12, 500.0), ("temp_k", "rate_per_s"),
+            lambda x, p: t1_rate(x, p["P"], p["E"], p["Delta_K"])),
+        "exp_recovery": (
+            "model = exp_recovery\n", recovery, exp_recovery(recovery, 1.0, 2.0, 0.1),
+            ("time_ms", "magnetization"),
+            lambda x, p: exp_recovery(x, p["M0"], p["T1_ms"], p["offset"])),
+        "exp_recovery_saturated": (
+            "model = exp_recovery\n", recovery, np.full(len(recovery), 0.5),
+            ("time_ms", "magnetization"),
+            lambda x, p: exp_recovery(x, p["M0"], p["T1_ms"], p["offset"])),
+        "gaussian_descending_derivative": (
+            "model = gaussian_lines\nn_lines = 2\nmode = derivative\n", sweep,
+            derivative + noise, ("field_t", "signal"), lines(gaussian_derivative_sum, 2)),
+        "gaussian_descending_absorption": (
+            "model = gaussian_lines\nn_lines = 1\n", sweep,
+            gaussian_sum(sweep * 1e3, [140.0], [6.0], [2.0]) + noise, ("field_t", "signal"),
+            lines(gaussian_sum, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fit_cases()))
+def test_fit_model_column_is_the_model_at_the_reported_params(tmp_path, case):
+    section, x, y, names, model_at = _fit_cases()[case]
+    data_path = tmp_path / "input.csv"
+    _write_columns(data_path, names, x, y)
+    cfg = write_config(tmp_path, f"[fit]\ninput_csv = {data_path}\n{section}")
+    code = run_cli("fit", "--config", cfg, "--out", str(tmp_path))
+    result = json.loads((tmp_path / "fit.json").read_text())
+    assert code == (0 if result["converged"] else 1)
+    params = {key: float(value) for key, value in result["params"].items()}
+    with open(tmp_path / "fit_residual.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [*names, "model", "residual"]
+    # the column's text is the writer's repr of the model at the params,
+    # read back from fit.json exactly
+    assert [row[2] for row in rows[1:]] == [repr(v) for v in model_at(x, params).tolist()]
+    if case == "exp_recovery_saturated":
+        assert code == 1 and all(row[2] == "nan" for row in rows[1:])
+
+
+def test_fit_table_covers_the_schema_models():
+    from donorspin.cli.main import FIT_MODELS
+
+    assert set(SCHEMA["fit"]["model"][2]) == set(FIT_MODELS)
+
+
 def test_levels_runs_deterministic(tmp_path):
     cfg = write_config(tmp_path, "[levels]\nb_steps = 25\n")
     for sub in ("a", "b"):

@@ -1,5 +1,6 @@
 """Closed-form doublet analytics against the numeric eigensolver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from donorspin import (
     unmixed_energies,
 )
 from donorspin.doublet import label_structure, level_table
+from donorspin.spectra import transition_frequency
 
 
 def test_mixing_angles_at_the_4ghz_resonance_fields():
@@ -151,6 +153,58 @@ def test_bell_field_state_properties():
             label = sys.label_of(m, branch)
             assert concurrence(es, label) > 1 - 1e-6
             assert abs(expectation_sz(es, label)) < 1e-9
+
+
+NUCLEAR_SPINS = [0.5, 1.0, 1.5, 4.0, 4.5]
+
+
+def _donor(nuclear_spin):
+    return dataclasses.replace(si_bi(), nuclear_spin=nuclear_spin)
+
+
+@pytest.mark.parametrize("nuclear_spin", NUCLEAR_SPINS)
+def test_label_of_inverts_label_structure(nuclear_spin):
+    sys = _donor(nuclear_spin)
+    ms, branches = label_structure(sys)
+    for label, (m, branch) in enumerate(zip(ms, branches), start=1):
+        assert sys.label_of(m, branch) == label
+        assert sys.label_of(float(m), int(branch)) == label
+    for m in (ms.max() + 1.0, ms.min() - 1.0, 0.25):
+        for branch in (+1, -1):
+            with pytest.raises(ValueError):
+                sys.label_of(m, branch)
+    with pytest.raises(ValueError):
+        sys.label_of(ms[0], 0)
+
+
+@pytest.mark.parametrize("nuclear_spin", NUCLEAR_SPINS)
+def test_doublet_views_reject_every_m_off_the_doublet_ladder(nuclear_spin):
+    sys = _donor(nuclear_spin)
+    doublets = sys.doublet_ms()[1:-1]
+    top = nuclear_spin + 0.5
+    # half-steps off the ladder (0.5 for I = 9/2, 0 for I = 1), the
+    # stretched states and beyond
+    candidates = np.arange(-top - 1.0, top + 1.25, 0.5)
+    for m in (float(m) for m in candidates if m not in doublets):
+        for view in (lambda: doublet_params(sys, m, 0.3), lambda: doublet_energies(sys, m, 0.3),
+                     lambda: doublet_state(sys, m, 0.3, +1), lambda: doublet_state(sys, m, 0.3, -1),
+                     lambda: bell_field(sys, m)):
+            with pytest.raises(ValueError, match="not a doublet"):
+                view()
+    for m in doublets:
+        assert doublet_params(sys, m, 0.3).m == m
+        doublet_energies(sys, m, 0.3)
+
+
+def test_non_integer_label_is_a_value_error():
+    sys = si_bi()
+    es = diagonalize(sys, 0.3)
+    for call in (lambda: es.energy(2.5), lambda: es.state(2.5),
+                 lambda: expectation_sz(es, 2.5), lambda: concurrence(es, 2.5),
+                 lambda: transition_frequency(sys, 2.5, 3, 0.3),
+                 lambda: transition_frequency(sys, 3, 2.0, 0.3)):
+        with pytest.raises(ValueError, match="label must be an integer"):
+            call()
 
 
 def test_bell_field_domain():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from donorspin.bath import LatticeSpec, generate_lattice, occupied_positions, occupy
-from donorspin.bath.occupancy import _DONOR_KEY, _chosen, _site_keys
+from donorspin.bath.occupancy import _DONOR_KEY, _chooser, _site_keys
 
 A0 = 0.543
 
@@ -150,8 +150,8 @@ def test_integer_decision_equals_the_float_compare():
     for abundance in (0.0, 1.0, 0.5, 0.0467, edge, np.nextafter(edge, 1.0),
                       np.nextafter(edge, 0.0), 2.0**-53, 1.0 - 2.0**-53):
         want = _float_rule(keys, abundance, seed) & not_donor
-        assert np.array_equal(_chosen(keys, abundance, seed), want), abundance
-    assert np.sum(_chosen(keys, 0.0, seed)) == 0
-    assert np.array_equal(_chosen(keys, 1.0, seed), not_donor)
-    assert np.sum(_chosen(keys, np.nextafter(edge, 1.0), seed)) == (
-        np.sum(_chosen(keys, edge, seed)) + 1)
+        assert np.array_equal(_chooser(abundance, seed)(keys), want), abundance
+    assert np.sum(_chooser(0.0, seed)(keys)) == 0
+    assert np.array_equal(_chooser(1.0, seed)(keys), not_donor)
+    assert np.sum(_chooser(np.nextafter(edge, 1.0), seed)(keys)) == (
+        np.sum(_chooser(edge, seed)(keys)) + 1)
