@@ -129,14 +129,14 @@ def _pair_amplitudes(j_k, j_l, b, s_a: float, s_b: float, times_ms, masks) -> np
     moving = np.minimum(k, c * (2.0 * np.pi * tau_max) ** 4) >= _EXACT_ONE_LOSS
     keep[keep] = moving
     k, w2 = k[moving], w2[:, moving]
-    # an all-True mask reduces unmasked
-    wheres = [True if mask.all() else mask for mask in masks[:, keep]]
+    # each mask as the indices of its pairs; an all-True mask reduces unmasked
+    gathers = [None if mask.all() else np.flatnonzero(mask) for mask in masks[:, keep]]
 
     omega = 2.0 * np.pi * np.sqrt(w2)
     step = _uniform_step_us(tau_us)
     if step is not None:
         rotation = _phase(omega * step)
-    out = np.empty((len(wheres), len(tau_us)))
+    out = np.empty((len(gathers), len(tau_us)))
     loss = np.empty(len(k))
     for i, tau in enumerate(tau_us):
         # phase = cos + i sin of both angles; a complex product rotates it
@@ -150,7 +150,7 @@ def _pair_amplitudes(j_k, j_l, b, s_a: float, s_b: float, times_ms, masks) -> np
         # the loss is at most 1; round-off may pass it by an ulp
         np.minimum(loss, 1.0, out=loss)
         factor = np.subtract(1.0, loss, out=loss)
-        out[:, i] = [np.prod(factor, where=where) for where in wheres]
+        out[:, i] = [np.prod(factor if idx is None else factor.take(idx)) for idx in gathers]
     return out
 
 

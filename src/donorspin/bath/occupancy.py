@@ -6,7 +6,11 @@ the quarter-cell integer grid. Occupancy therefore does not depend on
 enumeration order or worker count, and a site keeps its decision when the
 cube is enlarged, which gives common random numbers across lattice sizes
 in convergence studies (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC'11).
+as 1, 2, 3", SC'11). That holds site for site between cubes whose cell
+counts share parity. An odd count puts the donor on the other fcc
+sublattice of the diamond lattice, so across parity only the sites on the
+donor's own sublattice recur; the other sublattice's donor-relative
+positions of the two cubes are disjoint.
 
 `occupied_positions` draws the same decisions straight from the integer
 lattice, one x-plane of cells at a time, and keeps only the occupied

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -58,18 +59,27 @@ class CommandResult(NamedTuple):
 
 
 _ECHO_HEADER = ["time_ms", "amplitude", "std_of_mean"]
+# cells formatted per write (2048 rows of two columns): bounds the text
+# held in memory at once, whatever the width of the table
+_CSV_BLOCK_CELLS = 4096
 
 
 def _write(path: str, content: Any) -> None:
-    """Write one output or manifest. CSV rows are streamed from the
-    columns' `.tolist()` Python ints and floats; a float's repr is the
-    shortest digits that round-trip its bits."""
+    """Write one output or manifest. CSV cells are the repr of the
+    columns' `.tolist()` Python ints and floats, formatted a column at a
+    time over blocks of rows; a float's repr is the shortest digits that
+    round-trip its bits."""
     with open(path, "w", newline="") as fh:
         if path.endswith(".csv"):
             header, columns = content
             fh.write(",".join(header) + "\n")
-            rows = zip(*(column.tolist() for column in columns))
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            n_rows = min(map(len, columns))
+            block_rows = max(1, _CSV_BLOCK_CELLS // len(columns))
+            for start in range(0, n_rows, block_rows):
+                block = slice(start, start + block_rows)
+                cells = (map(repr, column[block].tolist()) for column in columns)
+                fh.write("\n".join(map(",".join, zip(*cells))))
+                fh.write("\n")
         else:
             json.dump(json_ready(content), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -286,8 +296,14 @@ def _unusable_out_dir(exc: OSError) -> ConfigError:
     return ConfigError(f"run.out_dir: cannot use {exc.filename!r}: {exc.strerror}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         if args.seed is not None:

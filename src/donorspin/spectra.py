@@ -20,7 +20,6 @@ import dataclasses
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .doublet import check_labels, label_structure, level_table
 from .spin import SpinSystem
@@ -102,9 +101,31 @@ def _adjacent_pairs(sys: SpinSystem) -> list[tuple[int, int]]:
     return [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols) if i < j]
 
 
+def _convolve_rows(u, v) -> list:
+    """np.convolve(u, v) of two 3-term coefficient rows, elementwise over
+    arrays of rows.
+
+    Each sum runs in ascending index of u, the order np.convolve takes, so
+    the coefficients match its row-by-row result bit for bit, except in
+    the last bit where its BLAS dot fuses a multiply-add of two terms of
+    like size.
+    """
+    out = []
+    for n in range(5):
+        terms = [u[k] * v[n - k] for k in range(max(0, n - 2), min(n, 2) + 1)]
+        out.append(sum(terms[1:], terms[0]))
+    return out
+
+
 def _resonance_roots(sys: SpinSystem, pairs: list[tuple[int, int]], frequency: float,
                      b_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """(pair index, field) of every root of |E_i - E_j| = frequency in b_range."""
+    """(pair index, field) of every root of |E_i - E_j| = frequency in b_range.
+
+    One quartic row per (pair, +-frequency), pair-major and + first, all
+    built at once; the companion matrices of each degree present share
+    one eigvals call. Roots come out ascending within a row, as
+    `numpy.polynomial.polynomial.polyroots` gives them.
+    """
     if frequency <= 0:
         raise ValueError("target frequency must be positive")
     lo, hi = b_range
@@ -114,21 +135,38 @@ def _resonance_roots(sys: SpinSystem, pairs: list[tuple[int, int]], frequency: f
     a, nz = sys.hyperfine_mhz, sys.nuclear_zeeman_delta
     p, top = 1.0 + nz, sys.nuclear_spin + 0.5
     tesla_per_y = a / sys.zeeman_mhz(1.0)
-    found = []
-    for k, (label_i, label_j) in enumerate(pairs):
-        dm = m[label_i - 1] - m[label_j - 1]
-        rj2 = [top * top, 2.0 * m[label_j - 1] * p, p * p]
-        for target in (frequency, -frequency):
-            ell2 = npoly.polypow([2.0 * target / a, 2.0 * dm * nz], 2)
-            lhs = npoly.polysub([0.0, 2.0 * p * dm], ell2)
-            y = npoly.polyroots(npoly.polysub(npoly.polypow(lhs, 2), 4.0 * npoly.polymul(ell2, rj2)))
-            # one of each conjugate pair: a tangency within rounding
-            # shows up as a pair with a tiny imaginary part
-            b = y[(y.imag >= 0) & (y.imag <= 1e-6 * (1.0 + np.abs(y.real)))].real * tesla_per_y
-            found += [(k, target, root) for root in b[(b >= lo) & (b <= hi)]]
-    index, targets, fields = np.array(found, dtype=float).reshape(-1, 3).T
-    index = index.astype(int)
-    i, j = (np.array(pairs, dtype=int).reshape(-1, 2)[index] - 1).T
+    labels = np.array(pairs, dtype=int).reshape(-1, 2) - 1
+    dm = np.repeat(m[labels[:, 0]] - m[labels[:, 1]], 2)
+    targets = np.tile([frequency, -frequency], len(labels))
+    rj2 = (top * top, 2.0 * np.repeat(m[labels[:, 1]], 2) * p, p * p)
+    ell = (2.0 * targets / a, 2.0 * dm * nz, 0.0)      # L(y), linear
+    ell2 = _convolve_rows(ell, ell)
+    lhs = (0.0 - ell2[0], 2.0 * p * dm - ell2[1], 0.0 - ell2[2])
+    quartic = np.empty((len(targets), 5))
+    for n, (square, cross) in enumerate(zip(_convolve_rows(lhs, lhs), _convolve_rows(ell2, rj2))):
+        quartic[:, n] = square - 4.0 * cross
+    # trailing exact zeros do not count, so the degree is per row
+    degree = np.max(np.where(quartic != 0.0, np.arange(5), 0), axis=1)
+    roots = np.full((len(targets), 4), np.nan, dtype=complex)
+    for d in np.unique(degree[degree > 0]):
+        of_degree = np.flatnonzero(degree == d)
+        c = quartic[of_degree, :d + 1]
+        if d == 1:
+            roots[of_degree, 0] = -c[:, 0] / c[:, 1]
+            continue
+        # the unrotated companion matrix of polynomial.polycompanion
+        companion = np.zeros((len(of_degree), d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        roots[of_degree, :d] = np.sort(np.linalg.eigvals(companion), axis=1)
+    # one of each conjugate pair: a tangency within rounding shows up as a
+    # pair with a tiny imaginary part; the NaN padding fails every test
+    b = roots.real * tesla_per_y
+    keep = ((roots.imag >= 0) & (roots.imag <= 1e-6 * (1.0 + np.abs(roots.real)))
+            & (b >= lo) & (b <= hi))
+    row, col = np.nonzero(keep)
+    index, targets, fields = row // 2, targets[row], b[row, col]
+    i, j = labels[index].T
     rows = np.arange(len(index))
 
     def residual(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

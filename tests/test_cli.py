@@ -23,7 +23,7 @@ from donorspin import bell_field, concurrence, diagonalize, si_bi
 from donorspin.bath import CceParams, KohnLuttingerModel, LatticeSpec, ensemble_echo
 from donorspin.bath.ensemble import THIRD_NN_FACTOR
 from donorspin.cli import SCHEMA, default_config, load_config, render_config
-from donorspin.cli.main import main
+from donorspin.cli.main import _CSV_BLOCK_CELLS, _write, main
 from donorspin.cli.manifest import file_sha256
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -144,6 +144,45 @@ def test_freqmap_zero_field_degeneracy(tmp_path):
     freqs = [float(line.split(",")[1]) for line in lines[1:]]
     assert freqs and all(f == pytest.approx(7377.0, abs=1e-6) for f in freqs)
 
+
+def test_zero_row_csv_is_its_header_alone(tmp_path):
+    # no transition reaches an intensity of 0.3 (the maximum is 1/4)
+    cfg = write_config(tmp_path, "[freqmap]\nintensity_floor = 0.3\n")
+    assert run_cli("freqmap", "--config", cfg, "--out", str(tmp_path)) == 0
+    text = (tmp_path / "freqmap.csv").read_text()
+    assert text == "field_t,freq_mhz,intensity,label_upper,label_lower\n"
+
+
+# three columns: a block holds _CSV_BLOCK_CELLS // 3 rows
+@pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_CELLS // 3, 2 * (_CSV_BLOCK_CELLS // 3) + 3])
+def test_csv_blocks_write_the_row_by_row_bytes(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    columns = (rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows),
+               rng.integers(-5, 30, n_rows), np.linspace(0.0, 1.0, n_rows))
+    path = str(tmp_path / "table.csv")
+    _write(path, (["x", "label", "t"], columns))
+    rows = zip(*(column.tolist() for column in columns))
+    want = "x,label,t\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    with open(path, newline="") as fh:
+        assert fh.read() == want
+
+
+def test_reused_parser_keeps_no_flag_between_calls(tmp_path):
+    from donorspin.fitting import t1_rate
+
+    temps = np.linspace(10.0, 60.0, 14)
+    _write_columns(tmp_path / "t1.csv", ["temp_k", "rate_per_s"], temps,
+                   t1_rate(temps, 1.26e-5, 3e12, 500.0))
+    cfg = write_config(tmp_path, f"[fit]\nmodel = t1_raman_orbach\n"
+                                 f"input_csv = {tmp_path / 't1.csv'}\nfix_delta_k = 450.0\n")
+    held = {}
+    for name, flags in (("flag", ["--fix-delta", "500"]), ("config", [])):
+        out = tmp_path / name
+        run_cli("fit", "--config", cfg, "--out", str(out), *flags)
+        manifest = json.loads((out / "fit_manifest.json").read_text())
+        held[name] = manifest["config"]["fit"]["fix_delta_k"]
+        assert json.loads((out / "fit.json").read_text())["params"]["Delta_K"] == held[name]
+    assert held == {"flag": 500.0, "config": 450.0}
 
 def test_rabi_model_and_measured(tmp_path):
     t_us = np.arange(0.0, 1.0, 1.0 / 256.0)

@@ -11,8 +11,12 @@ from donorspin.bath.occupancy import _DONOR_KEY, _chooser, _site_keys
 A0 = 0.543
 
 
+def _quarters(positions):
+    return set(map(tuple, np.rint(positions * 4.0 / A0).astype(int)))
+
+
 def _position_set(config):
-    return set(map(tuple, np.rint(config.positions * 4.0 / A0).astype(int)))
+    return _quarters(config.positions)
 
 
 def test_abundance_extremes():
@@ -74,6 +78,39 @@ def test_common_random_numbers_across_sizes():
     small_set = set(map(tuple, np.rint(small * 4.0 / A0).astype(int)))
     assert occ_large & small_set == occ_small
 
+
+def _occupied_set(side_nm, seed):
+    return _quarters(occupied_positions(LatticeSpec(side_nm=side_nm), seed=seed))
+
+
+def _site_set(side_nm):
+    return _quarters(generate_lattice(LatticeSpec(side_nm=side_nm)))
+
+
+def _donor_sublattice(quarters):
+    """The sites an fcc vector from the donor: every quarter coordinate even."""
+    return {q for q in quarters if all(c % 2 == 0 for c in q)}
+
+
+# the default converge sides have 12, 18, 25 and 33 cells per axis
+@pytest.mark.parametrize("large, small", [(18.0, 14.0), (10.0, 7.0)])
+def test_cubes_of_one_cell_parity_nest_exactly(large, small):
+    assert LatticeSpec(large).cells_per_axis % 2 == LatticeSpec(small).cells_per_axis % 2
+    occ_small = _occupied_set(small, seed=77)
+    assert _occupied_set(large, seed=77) & _site_set(small) == occ_small
+    # both sublattices recur
+    assert occ_small != _donor_sublattice(occ_small)
+
+
+@pytest.mark.parametrize("large, small", [(14.0, 10.0), (18.0, 10.0), (14.0, 7.0)])
+def test_across_cell_parity_only_the_donor_sublattice_recurs(large, small):
+    # an odd cell count puts the donor on the other fcc sublattice, so the
+    # other sublattice's donor-relative sites of the two cubes are disjoint
+    assert LatticeSpec(large).cells_per_axis % 2 != LatticeSpec(small).cells_per_axis % 2
+    occ_small = _occupied_set(small, seed=77)
+    recurring = _occupied_set(large, seed=77) & _site_set(small)
+    assert recurring == _donor_sublattice(occ_small)
+    assert recurring != occ_small
 
 def test_invalid_abundance():
     sites = generate_lattice(LatticeSpec(side_nm=3.0))
