@@ -9,7 +9,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..constants import SI29_ABUNDANCE
-from ..spin import SpinSystem, diagonalize, expectation_sz, si_bi
+from ..doublet import check_labels, level_table
+from ..spin import SpinSystem, si_bi
 from .couplings import (
     PAIR_D2_TOL_NM2,
     KohnLuttingerModel,
@@ -79,9 +80,10 @@ def build_configuration(params: CceParams, config_index: int) -> BathConfigurati
 
 def _donor_levels(params: CceParams) -> tuple[float, float]:
     """(s_a, s_b): <Sz> of the upper and lower level of the transition."""
-    es = diagonalize(params.system, params.field_b)
     upper, lower = params.transition
-    return expectation_sz(es, upper), expectation_sz(es, lower)
+    check_labels(params.system, upper, lower)
+    sz = level_table(params.system, params.field_b).sz[0]
+    return float(sz[upper - 1]), float(sz[lower - 1])
 
 
 def _config_curves(

@@ -24,7 +24,7 @@ from ..constants import (
     SI_LATTICE_NM,
 )
 from ..fitting.routines import ECHO_MIN_POINTS
-from ..spectra import sx_matrix_element
+from ..spectra import INTENSITY_FLOOR, sx_matrix_element
 from ..spin import SpinSystem
 
 
@@ -66,7 +66,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
         "frequency_mhz": ("float", 4044.0, "> 0"),
         "b_min_t": ("float", 0.0, ">= 0"),
         "b_max_t": ("float", 0.6, ">= 0"),
-        "intensity_floor": ("float", 1e-4, ">= 0"),
+        "intensity_floor": ("float", INTENSITY_FLOOR, ">= 0"),
         "fwhm_mt": ("float", 0.7, "> 0"),
         "grid_step_mt": ("float", 0.05, "> 0"),
     },
@@ -74,7 +74,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
         "b_min_t": ("float", 0.0, ">= 0"),
         "b_max_t": ("float", 0.6, ">= 0"),
         "b_steps": ("int", 121, ">= 1"),
-        "intensity_floor": ("float", 1e-4, ">= 0"),
+        "intensity_floor": ("float", INTENSITY_FLOOR, ">= 0"),
     },
     "rabi": {
         "label_upper": ("int", 11, ">= 1"),

@@ -23,7 +23,7 @@ states with E = +-f0/2 -+ I f0 delta + I A / 2. They are the same
 formulas with Omega = 0, theta = 0 and beta taken as the signed Delta.
 
 `level_table` evaluates all of this on an array of fields at once; it is
-the level engine behind `spin.diagonalize` and the spectra.
+the level engine behind `spin.diagonalize`, the spectra and the bath.
 """
 
 from __future__ import annotations
@@ -94,18 +94,27 @@ class LevelTable:
     sz: np.ndarray          # (F, D) <Sz>
     concurrence: np.ndarray # (F, D) in [0, 1], exactly 0 on the stretched states
 
-    def sx_element(self, label_i, label_j) -> np.ndarray:
-        """|<i| Sx x 1 |j>| per field; exactly 0 unless |m_i - m_j| = 1.
+    def pair(self, label_i, label_j, rows=slice(None)):
+        """(E_i - E_j, d(E_i - E_j)/dB in MHz/T, |<i| Sx x 1 |j>|).
 
-        Sx x 1 links only |-1/2, m+1/2> of doublet m to |+1/2, m+1/2> of
-        doublet m + 1, with matrix element 1/2. Labels may be arrays.
+        By default the labels (scalars or arrays that broadcast) index the
+        axes after the field axis; with `rows` an index array, row rows[k]
+        is read at labels i[k], j[k]. Sx x 1 links only |-1/2, m+1/2> of
+        doublet m to |+1/2, m+1/2> of doublet m + 1, with element 1/2, so
+        the element is exactly 0 unless |m_i - m_j| = 1.
         """
         m, _ = label_structure(self.system)
-        i, j = np.asarray(label_i) - 1, np.asarray(label_j) - 1
+        i, j = np.broadcast_arrays(np.asarray(label_i) - 1, np.asarray(label_j) - 1)
         above = m[i] > m[j]
         hi, lo = np.where(above, i, j), np.where(above, j, i)
-        element = 0.5 * np.abs(self.up[:, hi] * self.down[:, lo])
-        return np.where(np.abs(m[i] - m[j]) == 1, element, 0.0)
+        element = 0.5 * np.abs(self.up[rows, hi] * self.down[rows, lo])
+        return (self.energies[rows, i] - self.energies[rows, j],
+                self.slopes[rows, i] - self.slopes[rows, j],
+                np.where(np.abs(m[i] - m[j]) == 1, element, 0.0))
+
+    def sx_element(self, label_i, label_j) -> np.ndarray:
+        """|<i| Sx x 1 |j>| per field, labels as in `pair`."""
+        return self.pair(label_i, label_j)[2]
 
     def states(self) -> np.ndarray:
         """(F, D, D) real eigenvectors in the product basis, column per label."""

@@ -63,10 +63,7 @@ class SpectrumCurve:
 def _pair_at(sys: SpinSystem, label_i: int, label_j: int, b_field: float):
     """(E_i - E_j, its field slope in MHz/T, |<i| Sx x 1 |j>|) at one field."""
     check_labels(sys, label_i, label_j)
-    table = level_table(sys, b_field)
-    i, j = label_i - 1, label_j - 1
-    sx = table.sx_element(label_i, label_j)[0]
-    return table.energies[0, i] - table.energies[0, j], table.slopes[0, i] - table.slopes[0, j], sx
+    return level_table(sys, b_field).pair(label_i, label_j, 0)
 
 
 def transition_frequency(sys: SpinSystem, label_i: int, label_j: int, b_field: float) -> float:
@@ -94,11 +91,10 @@ def df_db(sys: SpinSystem, label_i: int, label_j: int, b_field: float) -> float:
     return float(math.copysign(1.0, gap) * slope * 1e-3)
 
 
-def _adjacent_pairs(sys: SpinSystem) -> list[tuple[int, int]]:
-    """Label pairs whose doublets differ by exactly one unit of m."""
+def _adjacent_pairs(sys: SpinSystem) -> np.ndarray:
+    """(P, 2) label pairs i < j, row-major, whose doublets differ by one m."""
     m, _ = label_structure(sys)
-    rows, cols = np.nonzero(np.abs(m[:, None] - m[None, :]) == 1.0)
-    return [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols) if i < j]
+    return np.argwhere(np.triu(np.abs(m[:, None] - m[None, :]) == 1.0)) + 1
 
 
 def _convolve_rows(u, v) -> list:
@@ -117,7 +113,7 @@ def _convolve_rows(u, v) -> list:
     return out
 
 
-def _resonance_roots(sys: SpinSystem, pairs: list[tuple[int, int]], frequency: float,
+def _resonance_roots(sys: SpinSystem, pairs: np.ndarray, frequency: float,
                      b_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """(pair index, field) of every root of |E_i - E_j| = frequency in b_range.
 
@@ -135,10 +131,10 @@ def _resonance_roots(sys: SpinSystem, pairs: list[tuple[int, int]], frequency: f
     a, nz = sys.hyperfine_mhz, sys.nuclear_zeeman_delta
     p, top = 1.0 + nz, sys.nuclear_spin + 0.5
     tesla_per_y = a / sys.zeeman_mhz(1.0)
-    labels = np.array(pairs, dtype=int).reshape(-1, 2) - 1
-    dm = np.repeat(m[labels[:, 0]] - m[labels[:, 1]], 2)
-    targets = np.tile([frequency, -frequency], len(labels))
-    rj2 = (top * top, 2.0 * np.repeat(m[labels[:, 1]], 2) * p, p * p)
+    m_i, m_j = m[pairs.T - 1]
+    dm = np.repeat(m_i - m_j, 2)
+    targets = np.tile([frequency, -frequency], len(pairs))
+    rj2 = (top * top, 2.0 * np.repeat(m_j, 2) * p, p * p)
     ell = (2.0 * targets / a, 2.0 * dm * nz, 0.0)      # L(y), linear
     ell2 = _convolve_rows(ell, ell)
     lhs = (0.0 - ell2[0], 2.0 * p * dm - ell2[1], 0.0 - ell2[2])
@@ -151,10 +147,8 @@ def _resonance_roots(sys: SpinSystem, pairs: list[tuple[int, int]], frequency: f
     for d in np.unique(degree[degree > 0]):
         of_degree = np.flatnonzero(degree == d)
         c = quartic[of_degree, :d + 1]
-        if d == 1:
-            roots[of_degree, 0] = -c[:, 0] / c[:, 1]
-            continue
-        # the unrotated companion matrix of polynomial.polycompanion
+        # the unrotated companion matrix of polynomial.polycompanion; at
+        # degree 1 its one eigenvalue is -c0/c1 (+0.0 where c0 is 0)
         companion = np.zeros((len(of_degree), d, d))
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
@@ -166,13 +160,12 @@ def _resonance_roots(sys: SpinSystem, pairs: list[tuple[int, int]], frequency: f
             & (b >= lo) & (b <= hi))
     row, col = np.nonzero(keep)
     index, targets, fields = row // 2, targets[row], b[row, col]
-    i, j = labels[index].T
+    i, j = pairs[index].T
     rows = np.arange(len(index))
 
     def residual(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        table = level_table(sys, b)
-        return (table.energies[rows, i] - table.energies[rows, j] - targets,
-                table.slopes[rows, i] - table.slopes[rows, j])
+        gap, slope, _ = level_table(sys, b).pair(i, j, rows)
+        return gap - targets, slope
 
     miss, slope = residual(fields)
     held = np.abs(miss) <= ROOT_TOL_MHZ
@@ -196,7 +189,7 @@ def resonance_fields(
     frequency in range.
     """
     check_labels(sys, label_i, label_j)
-    _, fields = _resonance_roots(sys, [(label_i, label_j)], frequency, b_range)
+    _, fields = _resonance_roots(sys, np.array([[label_i, label_j]]), frequency, b_range)
     return sorted(float(b) for b in fields)
 
 
@@ -214,21 +207,16 @@ def find_all_resonances(
     """
     pairs = _adjacent_pairs(sys)
     index, fields = _resonance_roots(sys, pairs, frequency, b_range)
-    table = level_table(sys, fields)
-    found = []
-    for row, k in enumerate(index):
-        upper, lower = pairs[k]
-        if table.energies[row, upper - 1] < table.energies[row, lower - 1]:
-            upper, lower = lower, upper
-        sx = float(table.sx_element(upper, lower)[row])
-        slope = table.slopes[row, upper - 1] - table.slopes[row, lower - 1]
-        if sx * sx > intensity_floor:
-            found.append(Transition(
-                label_upper=upper, label_lower=lower, field_b=float(fields[row]),
-                frequency=frequency, sx_element=sx, intensity=sx * sx,
-                dfdb_mhz_per_mt=float(slope * 1e-3)))
-    found.sort(key=lambda t: t.field_b)
-    return found
+    i, j = pairs[index].T
+    gap, slope, sx = level_table(sys, fields).pair(i, j, np.arange(len(index)))
+    # the upper label is the higher level at the resonance field
+    upper, lower = np.where(gap < 0, j, i), np.where(gap < 0, i, j)
+    slope = np.where(gap < 0, -slope, slope)
+    keep = np.flatnonzero(sx * sx > intensity_floor)
+    keep = keep[np.argsort(fields[keep], kind="stable")]
+    columns = (column[keep].tolist() for column in (upper, lower, fields, sx, slope))
+    return [Transition(label_upper=u, label_lower=w, field_b=b, frequency=frequency, sx_element=x,
+                       intensity=x * x, dfdb_mhz_per_mt=s * 1e-3) for u, w, b, x, s in zip(*columns)]
 
 
 def synthesize_spectrum(
@@ -282,10 +270,10 @@ def frequency_field_map(
     (frequency numerically zero, e.g. within a zero-field multiplet) are
     not transitions and are dropped.
     """
-    i, j = np.array(_adjacent_pairs(sys)).T
+    i, j = _adjacent_pairs(sys).T
     table = level_table(sys, field_grid)
-    gap = table.energies[:, i - 1] - table.energies[:, j - 1]
-    intensity = table.sx_element(i, j) ** 2
+    gap, _, sx = table.pair(i, j)
+    intensity = sx ** 2
     keep = (np.abs(gap) > 1e-9) & (intensity > intensity_floor)
     out = np.empty(int(keep.sum()), dtype=_MAP_DTYPE)
     out["field_b"] = np.broadcast_to(table.fields[:, None], gap.shape)[keep]

@@ -115,6 +115,12 @@ def test_convergence_study_bookkeeping():
         convergence_study(params, [], [r2])
 
 
+@pytest.mark.parametrize("transition", [(0, 10), (21, 10), (11, 0), (11, 21)])
+def test_convergence_study_rejects_labels_outside_the_donor(transition):
+    with pytest.raises(ValueError, match="label must be an integer in 1..20"):
+        convergence_study(_params(transition=transition), [2.2], [0.4], workers=1)
+
+
 def test_empty_bath_is_fully_coupled_and_does_not_decay():
     params = _params(abundance=0.0, n_configs=2)
     config = build_configuration(params, 0)
