@@ -3,6 +3,7 @@
 from .couplings import KohnLuttingerModel, dipolar_b, enumerate_pairs, superhyperfine_j
 from .echo import EchoCurve, cce2_echo, pair_echo
 from .ensemble import (
+    PAIR_SHELLS,
     SECOND_NN_FACTOR,
     THIRD_NN_FACTOR,
     CceParams,
@@ -21,6 +22,7 @@ __all__ = [
     "EchoCurve",
     "KohnLuttingerModel",
     "LatticeSpec",
+    "PAIR_SHELLS",
     "SECOND_NN_FACTOR",
     "THIRD_NN_FACTOR",
     "build_configuration",

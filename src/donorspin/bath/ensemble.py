@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,11 +26,14 @@ from .occupancy import BathConfiguration, occupied_positions
 # exact neighbor-shell radii of the diamond lattice, in units of a0
 SECOND_NN_FACTOR = math.sqrt(2.0) / 2.0
 THIRD_NN_FACTOR = math.sqrt(11.0) / 4.0
+# pair shell -> its cutoff radius in units of a0: the shells a run may name
+PAIR_SHELLS = {2: SECOND_NN_FACTOR, 3: THIRD_NN_FACTOR}
 
 
 @dataclasses.dataclass(frozen=True)
 class CceParams:
-    """Everything that determines one ensemble echo, including the seed."""
+    """Everything that determines one ensemble echo, including the seed;
+    the coupling model reads a0 from the lattice and g from the donor."""
 
     transition: tuple[int, int]                 # (label_upper, label_lower)
     field_b: float                              # tesla
@@ -38,10 +42,9 @@ class CceParams:
     n_configs: int = 1
     seed: int = 0
     r_max_nm: float | None = None               # default: 3rd-NN distance
-    b_direction: tuple[float, float, float] = (1.0, -1.0, 0.0)
     abundance: float = SI29_ABUNDANCE
-    model: KohnLuttingerModel = KohnLuttingerModel()
     system: SpinSystem = si_bi()
+    b_direction: ClassVar[tuple[float, float, float]] = (1.0, -1.0, 0.0)
 
     def __post_init__(self):
         if self.n_configs < 1:
@@ -59,6 +62,11 @@ class CceParams:
         if self.r_max_nm is not None:
             return self.r_max_nm
         return THIRD_NN_FACTOR * self.lattice.a0_nm
+
+    @property
+    def model(self) -> KohnLuttingerModel:
+        """The contact-coupling model at the lattice's a0 and the donor's g."""
+        return KohnLuttingerModel(a0_nm=self.lattice.a0_nm, g_factor=self.system.g_factor)
 
 
 def build_configuration(params: CceParams, config_index: int) -> BathConfiguration:

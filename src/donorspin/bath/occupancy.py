@@ -33,6 +33,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _COORD_OFFSET = np.int64(1 << 20)  # shifts quarter-grid coordinates positive
+# the largest cube whose sites, at most 2n quarter steps from the donor
+# along any axis, all stay below _COORD_OFFSET
+MAX_CELLS_PER_AXIS = int(_COORD_OFFSET - 1) // 2
 _BASIS_QUARTERS = np.rint(4 * _BASIS).astype(np.int64)
 
 
@@ -140,7 +143,7 @@ def occupied_positions(
     # even n, 2n - 1 on every axis for odd n. Either way no site of the
     # cube is more than 2n quarter steps from it along any axis.
     donor = 2 * n - n % 2
-    if 2 * n >= _COORD_OFFSET:
+    if n > MAX_CELLS_PER_AXIS:
         raise ValueError("lattice too large for the coordinate key")
     plane = np.indices((1, n, n)).reshape(3, -1).T
     q0 = (4 * plane[:, None, :] + _BASIS_QUARTERS[None, :, :]).reshape(-1, 3) - donor

@@ -14,7 +14,8 @@ import configparser
 import math
 from typing import Any
 
-from ..bath import LatticeSpec
+from ..bath import PAIR_SHELLS, LatticeSpec
+from ..bath.occupancy import MAX_CELLS_PER_AXIS
 from ..constants import (
     BI_G_FACTOR,
     BI_HYPERFINE_MHZ,
@@ -89,7 +90,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
         "field_t": ("float", 0.3446, "> 0"),
         "side_nm": ("float", 14.0, "> 0"),
         "n_configs": ("int", 20, ">= 1"),
-        "shell": ("int", 3, (2, 3)),
+        "shell": ("int", 3, tuple(PAIR_SHELLS)),
         "t_max_ms": ("float", 1.0, "> 0"),
         "t_steps": ("int", 51, ">= 2"),
         "abundance": ("float", SI29_ABUNDANCE, "in [0, 1]"),
@@ -98,7 +99,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
     },
     "converge": {
         "sides_nm": ("floatlist", (7.0, 10.0, 14.0, 18.0), "> 0"),
-        "shells": ("intlist", (2, 3), (2, 3)),
+        "shells": ("intlist", tuple(PAIR_SHELLS), tuple(PAIR_SHELLS)),
     },
     "fit": {
         "model": ("str", "echo_decay",
@@ -117,12 +118,14 @@ def spin_system(config) -> SpinSystem:
     return SpinSystem(electron_spin=0.5, **config["donor"])
 
 
-def _holds_two_cells(side_nm: float, config) -> bool:
+def _cube_fits(side_nm: float, config) -> bool:
+    """Whether the cube holds 2 cells of cce.a0_nm per axis, and no more
+    than the occupancy's site key can address."""
     try:
-        LatticeSpec(side_nm=side_nm, a0_nm=config["cce"]["a0_nm"])
+        spec = LatticeSpec(side_nm=side_nm, a0_nm=config["cce"]["a0_nm"])
     except ValueError:
         return False
-    return True
+    return spec.cells_per_axis <= MAX_CELLS_PER_AXIS
 
 
 def _labels_of_donor(config, section: str) -> bool:
@@ -151,10 +154,12 @@ RULES = (
      lambda c: c["freqmap"]["b_max_t"] >= c["freqmap"]["b_min_t"]),
     ("resonances.b_max_t: must be above resonances.b_min_t",
      lambda c: c["resonances"]["b_max_t"] > c["resonances"]["b_min_t"]),
-    ("cce.side_nm: {cce[side_nm]!r} nm must hold at least 2 cells of cce.a0_nm",
-     lambda c: _holds_two_cells(c["cce"]["side_nm"], c)),
-    ("converge.sides_nm: every side must hold at least 2 cells of cce.a0_nm",
-     lambda c: all(_holds_two_cells(side, c) for side in c["converge"]["sides_nm"])),
+    (f"cce.side_nm: {{cce[side_nm]!r}} nm must hold 2 to {MAX_CELLS_PER_AXIS} cells "
+     "of cce.a0_nm per axis",
+     lambda c: _cube_fits(c["cce"]["side_nm"], c)),
+    (f"converge.sides_nm: every side must hold 2 to {MAX_CELLS_PER_AXIS} cells of "
+     "cce.a0_nm per axis",
+     lambda c: all(_cube_fits(side, c) for side in c["converge"]["sides_nm"])),
     ("rabi.label_upper, rabi.label_lower: {rabi[label_upper]} and {rabi[label_lower]} must "
      "be labels 1..{dimension} one m apart for the drive to couple them at rabi.field_t",
      _rabi_coupled),

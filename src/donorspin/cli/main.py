@@ -23,8 +23,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..bath import CceParams, KohnLuttingerModel, LatticeSpec, convergence_study
-from ..bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
+from ..bath import PAIR_SHELLS, CceParams, LatticeSpec, convergence_study
 from ..fitting import (
     FitResult,
     fit_echo_decay,
@@ -157,8 +156,8 @@ def cmd_rabi(config) -> CommandResult:
 
 
 def _shell_cutoff_nm(config, shell: int) -> float:
-    """Pair cutoff of neighbour shell 2 or 3 of the cce lattice."""
-    return {2: SECOND_NN_FACTOR, 3: THIRD_NN_FACTOR}[shell] * config["cce"]["a0_nm"]
+    """Pair cutoff of a neighbour shell of the cce lattice."""
+    return PAIR_SHELLS[shell] * config["cce"]["a0_nm"]
 
 
 def _cce_params(config) -> CceParams:
@@ -173,7 +172,6 @@ def _cce_params(config) -> CceParams:
         seed=config["run"]["seed"],
         r_max_nm=_shell_cutoff_nm(config, section["shell"]),
         abundance=section["abundance"],
-        model=KohnLuttingerModel(a0_nm=section["a0_nm"], g_factor=config["donor"]["g_factor"]),
         system=spin_system(config),
     )
 

@@ -11,8 +11,10 @@ accepted-cost history is monotone by construction.
 
 A parameter held fixed is a zero-width box, lo = hi. Its Jacobian column
 is 0, so it never moves and is never identifiable. Identifiability is one
-rule: a column whose norm is below NULL_COLUMN_REL of the largest is
-unidentifiable, and both standard_errors and condition_number leave it out.
+rule, at each parameter's own scale: a parameter whose residual change
+over its difference step, ||J_i|| max(1e-6 |x_i|, 1e-8), is below
+NULL_COLUMN_REL of the largest is unidentifiable. standard_errors and
+condition_number leave it out and work on unit-norm columns.
 """
 
 from __future__ import annotations
@@ -26,17 +28,17 @@ MAX_ITERATIONS = 500
 STEP_TOL = 1e-10          # relative parameter step
 COST_TOL = 1e-12          # relative cost decrease
 LAMBDA_LIMIT = 1e12       # no descent below this damping: stationary point
-NULL_COLUMN_REL = 1e-10   # Jacobian column norm below this is unidentifiable
+NULL_COLUMN_REL = 1e-10   # residual change per step below this is unidentifiable
 
 
 @dataclasses.dataclass(frozen=True)
 class FitResult:
     """Named parameters with standard errors for the identifiable ones.
 
-    std_errors is populated only for converged fits, and omits parameters
-    whose Jacobian column is numerically null (unidentifiable directions)
-    or that were held fixed. fitted is the model function at the reported
-    params, at the samples in the order given; it takes no part in ==.
+    std_errors is populated only for converged fits, and omits the
+    unidentifiable parameters and those held fixed. fitted is the model
+    function at the reported params, at the samples in the order given;
+    it takes no part in ==.
     """
 
     params: dict[str, float]
@@ -62,6 +64,12 @@ class _Solution:
     residual: np.ndarray
 
 
+def _difference_steps(x: np.ndarray) -> np.ndarray:
+    """Each parameter's finite-difference step; the absolute floor keeps
+    it sane for parameters sitting at 0."""
+    return np.maximum(1e-6 * np.abs(x), 1e-8)
+
+
 def _numeric_jacobian(
     residual: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -77,9 +85,7 @@ def _numeric_jacobian(
     if n_rows is None:
         n_rows = len(residual(x))
     jac = np.empty((n_rows, len(x)))
-    for i in range(len(x)):
-        # absolute floor keeps the step sane for parameters sitting at 0
-        h = max(1e-6 * abs(x[i]), 1e-8)
+    for i, h in enumerate(_difference_steps(x)):
         x_plus = x.copy()
         x_minus = x.copy()
         x_plus[i] = min(x[i] + h, hi[i])
@@ -154,41 +160,42 @@ def levenberg_fit(
     )
 
 
-def _identifiable(jac: np.ndarray) -> np.ndarray:
-    """Mask of the Jacobian columns that are not numerically null."""
-    col_norms = np.linalg.norm(jac, axis=0)
-    return col_norms > NULL_COLUMN_REL * max(col_norms.max(), 1e-300)
+def _unit_normal(solution: _Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mask, norms, U^T U) of the identifiable Jacobian columns, U being
+    those columns scaled to unit norm."""
+    col_norms = np.linalg.norm(solution.jacobian, axis=0)
+    change = col_norms * _difference_steps(solution.x)
+    identifiable = change > NULL_COLUMN_REL * max(change.max(), 1e-300)
+    norms = col_norms[identifiable]
+    unit = solution.jacobian[:, identifiable] / norms
+    return identifiable, norms, unit.T @ unit
 
 
 def condition_number(solution: _Solution) -> float:
-    """cond(J^T J) over the identifiable columns, each scaled to unit norm.
+    """cond(U^T U) over the identifiable columns, each scaled to unit norm.
 
     Unit columns take the parameters' units out of the number, so it
     measures only how nearly parallel the identifiable directions are.
     """
-    sub = solution.jacobian[:, _identifiable(solution.jacobian)]
-    unit = sub / np.linalg.norm(sub, axis=0)
-    return float(np.linalg.cond(unit.T @ unit))
+    return float(np.linalg.cond(_unit_normal(solution)[2]))
 
 
 def standard_errors(solution: _Solution, names: list[str]) -> dict[str, float]:
-    """sigma^2 (J^T J)^-1 errors over the identifiable parameter subset."""
+    """sigma^2 (J^T J)^-1 errors over the identifiable parameter subset,
+    inverted on unit-norm columns: (J^T J)^-1 = D^-1 (U^T U)^-1 D^-1."""
     if not solution.converged:
         return {}
-    jac = solution.jacobian
-    m = jac.shape[0]
-    identifiable = _identifiable(jac)
-    k = int(np.sum(identifiable))
+    m = solution.jacobian.shape[0]
+    identifiable, norms, normal = _unit_normal(solution)
+    k = len(norms)
     if k == 0 or m <= k:
         return {}
-    sub = jac[:, identifiable]
     cost = float(solution.residual @ solution.residual)
     sigma_sq = cost / (m - k)
     try:
-        cov = sigma_sq * np.linalg.inv(sub.T @ sub)
+        variances = sigma_sq * np.diag(np.linalg.inv(normal)) / norms**2
     except np.linalg.LinAlgError:
         return {}
-    variances = np.diag(cov)
     if np.any(variances < 0):
         return {}
     kept = [name for name, keep in zip(names, identifiable) if keep]

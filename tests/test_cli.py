@@ -20,9 +20,18 @@ from hypothesis import strategies as st
 
 import donorspin
 from donorspin import bell_field, concurrence, diagonalize, si_bi
-from donorspin.bath import CceParams, KohnLuttingerModel, LatticeSpec, ensemble_echo
+from donorspin.bath import (
+    CceParams,
+    KohnLuttingerModel,
+    LatticeSpec,
+    build_configuration,
+    ensemble_echo,
+    superhyperfine_j,
+)
 from donorspin.bath.ensemble import THIRD_NN_FACTOR
-from donorspin.cli import SCHEMA, default_config, load_config, render_config
+from donorspin.bath.occupancy import MAX_CELLS_PER_AXIS
+from donorspin.cli import SCHEMA, ConfigError, default_config, load_config, render_config
+from donorspin.cli.config import validate
 from donorspin.cli.main import _CSV_BLOCK_CELLS, _write, main
 from donorspin.cli.manifest import file_sha256
 
@@ -248,7 +257,8 @@ def _echo_amplitudes(path) -> list[float]:
 
 
 def test_cce_couplings_use_the_configured_lattice_and_g(tmp_path):
-    # J depends on a0 through the valley wavevector and on g through its prefactor
+    # J depends on a0 through the valley wavevector and on g through its
+    # prefactor; CceParams takes both from its lattice and its donor
     a0_nm, g_factor = 0.5, 1.9985
     cfg = write_config(tmp_path, CCE_SMALL + f"a0_nm = {a0_nm}\n[donor]\ng_factor = {g_factor}\n")
     assert run_cli("cce", "--config", cfg, "--out", str(tmp_path), "--seed", "11") == 0
@@ -260,13 +270,15 @@ def test_cce_couplings_use_the_configured_lattice_and_g(tmp_path):
         n_configs=4,
         seed=11,
         r_max_nm=THIRD_NN_FACTOR * a0_nm,
-        model=KohnLuttingerModel(a0_nm=a0_nm, g_factor=g_factor),
         system=dataclasses.replace(si_bi(), g_factor=g_factor),
     )
     written = _echo_amplitudes(tmp_path / "echo.csv")
     assert written == ensemble_echo(params).amplitude.tolist()
-    default_model = ensemble_echo(dataclasses.replace(params, model=KohnLuttingerModel()))
-    assert written != default_model.amplitude.tolist()
+    config = build_configuration(params, 0)
+    want = superhyperfine_j(config.positions, KohnLuttingerModel(a0_nm=a0_nm, g_factor=g_factor))
+    assert np.array_equal(config.couplings_j, want)
+    for stale in (KohnLuttingerModel(a0_nm=a0_nm), KohnLuttingerModel(g_factor=g_factor)):
+        assert not np.array_equal(config.couplings_j, superhyperfine_j(config.positions, stale))
 
 
 @pytest.mark.parametrize("t_steps", ["2", "5"])
@@ -606,6 +618,32 @@ def test_out_of_range_value_is_usage_error(tmp_path, capsys, command, section, k
     assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("cce", "[cce]\nside_nm = 1e6\n", "cce.side_nm"),
+        ("cce-converge", "[converge]\nsides_nm = 3.0 1e6\n", "converge.sides_nm"),
+    ],
+)
+def test_cube_past_the_site_key_is_usage_error(tmp_path, capsys, command, text, key):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_largest_cube_is_the_site_key_limit():
+    config = default_config()
+    a0 = config["cce"]["a0_nm"]
+    config["cce"]["side_nm"] = MAX_CELLS_PER_AXIS * a0
+    validate(config)
+    config["cce"]["side_nm"] = (MAX_CELLS_PER_AXIS + 1) * a0
+    with pytest.raises(ConfigError, match="cce.side_nm"):
+        validate(config)
 
 
 @pytest.mark.parametrize("command", ["levels", "freqmap"])

@@ -11,6 +11,7 @@ from donorspin import diagonalize, expectation_sz, si_bi
 from donorspin.bath import (
     BathConfiguration,
     CceParams,
+    KohnLuttingerModel,
     LatticeSpec,
     build_configuration,
     cce2_echo,
@@ -140,6 +141,16 @@ def test_params_validation():
         _params(r_max_nm=-0.4)
     # default cutoff is the 3rd-neighbor distance
     assert _params().pair_cutoff_nm == pytest.approx(0.543 * np.sqrt(11.0) / 4.0)
+
+
+def test_coupling_model_is_the_lattice_a0_and_the_donor_g():
+    system = dataclasses.replace(si_bi(), g_factor=1.9985)
+    params = _params(lattice=LatticeSpec(side_nm=7.0, a0_nm=0.5), system=system)
+    assert params.model == KohnLuttingerModel(a0_nm=0.5, g_factor=1.9985)
+    assert _params().model == KohnLuttingerModel()
+    # neither the model nor the field direction is a second, settable copy
+    assert {"model", "b_direction"}.isdisjoint(f.name for f in dataclasses.fields(CceParams))
+    assert params.b_direction == (1.0, -1.0, 0.0)
 
 
 def test_stretched_level_has_exact_sz():

@@ -1,6 +1,7 @@
 """Tests for the least-squares solver, models, and fit routines."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,42 @@ def test_t1_round_trip_fixed_delta():
     assert result.params["E"] == pytest.approx(3e12, rel=1e-3)
     assert result.params["Delta_K"] == 500.0
     assert "Delta_K" not in result.std_errors
+
+
+def _t1_noisy_rates(temps):
+    """P = 1.26e-5, E = 3e12, Delta = 500 K with 1 % multiplicative noise."""
+    noise = 1.0 + 0.01 * np.random.default_rng(3).standard_normal(len(temps))
+    return t1_rate(temps, 1.26e-5, 3e12, 500.0) * noise
+
+
+def test_t1_fixed_delta_errors_are_the_exact_linear_covariance():
+    # with Delta held the model is linear in (P, E): the covariance is
+    # sigma^2 (A^T A)^-1 over the columns T^7 and exp(-Delta/T), taken here
+    # in exact rationals. E's column is ~1e-16 of P's in norm.
+    temps = np.linspace(10.0, 60.0, 14)
+    rates = _t1_noisy_rates(temps)
+    result = fit_t1_temperature(temps, rates, delta_fixed_k=500.0)
+    assert result.converged
+    assert set(result.std_errors) == {"P", "E"}
+    columns = [[Fraction(float(v)) for v in col] for col in (temps**7, np.exp(-500.0 / temps))]
+    p, e = Fraction(result.params["P"]), Fraction(result.params["E"])
+    residual = [p * a + e * b - Fraction(float(y)) for a, b, y in zip(*columns, rates)]
+    sigma_sq = sum(r * r for r in residual) / (len(temps) - 2)
+    (aa, ab), (_, bb) = [[sum(u * v for u, v in zip(c, d)) for d in columns] for c in columns]
+    det = aa * bb - ab * ab
+    exact = {"P": sigma_sq * bb / det, "E": sigma_sq * aa / det}
+    for name, variance in exact.items():
+        assert result.std_errors[name] == pytest.approx(math.sqrt(variance), rel=1e-8)
+
+
+def test_t1_fixed_delta_errors_scale_with_the_rates():
+    temps = np.linspace(10.0, 60.0, 14)
+    rates = _t1_noisy_rates(temps)
+    base = fit_t1_temperature(temps, rates, delta_fixed_k=500.0)
+    scaled = fit_t1_temperature(temps, 1e-3 * rates, delta_fixed_k=500.0)
+    assert set(scaled.std_errors) == set(base.std_errors) == {"P", "E"}
+    for name, error in base.std_errors.items():
+        assert scaled.std_errors[name] == pytest.approx(1e-3 * error, rel=1e-8)
 
 
 def test_t1_no_orbach_component():
