@@ -21,7 +21,7 @@ from .couplings import (
 )
 from .echo import EchoCurve, _pair_products
 from .lattice import LatticeSpec
-from .occupancy import BathConfiguration, occupied_positions
+from .occupancy import BathConfiguration, in_cube, occupied_positions
 
 # exact neighbor-shell radii of the diamond lattice, in units of a0
 SECOND_NN_FACTOR = math.sqrt(2.0) / 2.0
@@ -95,22 +95,33 @@ def _donor_levels(params: CceParams) -> tuple[float, float]:
 
 
 def _config_curves(
-    args: tuple[CceParams, int, tuple[float, ...], float, float],
-) -> list[np.ndarray]:
-    """Echo amplitude of one placement, one curve per pair cutoff.
+    args: tuple[CceParams, int, tuple[LatticeSpec, ...], tuple[float, ...], float, float],
+) -> np.ndarray:
+    """Echo amplitude of one placement, one curve per (cube, pair cutoff):
+    the whole cube's cutoffs first, then each box's.
 
-    params.pair_cutoff_nm is the largest cutoff. The placement is built and
-    its pair echoes evaluated once; each cutoff's curve is the product over
-    the pairs within it, by the same squared-distance rule as
-    `enumerate_pairs`, so it is exactly the echo of a build at that cutoff.
-    The kernel forms every cutoff's product in its one pass over the times.
+    params.lattice is the largest cube of a cell-parity class and
+    params.pair_cutoff_nm the largest cutoff; the placement is built and
+    its pair echoes evaluated once. The boxes are the class's smaller
+    cubes. Such a cube's sites are the placement's sites within its box,
+    in the same cell-major order, with the same positions, J and b
+    (`in_cube`), and a cutoff's pairs are the pairs within it by the
+    squared-distance rule of `enumerate_pairs`. So each curve, the product
+    over the pairs with both sites in the cube and within the cutoff, is
+    exactly the echo of a build at that side and cutoff. The kernel forms
+    every product in its one pass over the times.
     """
-    params, index, cutoffs, s_a, s_b = args
+    params, index, boxes, cutoffs, s_a, s_b = args
     config = build_configuration(params, index)
     pos, pairs = config.positions, config.pair_indices
     d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=1)
-    masks = np.array([d2 <= r * r + PAIR_D2_TOL_NM2 for r in cutoffs])
-    return list(_pair_products(config, s_a, s_b, params.time_grid_ms, masks))
+    whole = np.array([d2 <= r * r + PAIR_D2_TOL_NM2 for r in cutoffs])
+    boxed = []
+    for box in boxes:
+        inside = in_cube(pos, box)
+        boxed.append(whole & (inside[pairs[:, 0]] & inside[pairs[:, 1]]))
+    masks = np.concatenate([whole, *boxed]) if boxed else whole
+    return _pair_products(config, s_a, s_b, params.time_grid_ms, masks)
 
 
 def _mean_curve(curves: list[np.ndarray], times: np.ndarray) -> EchoCurve:
@@ -153,11 +164,14 @@ def convergence_study(
 ) -> ConvergenceResult:
     """Ensemble echo for every (side, r_max) plus convergence distances.
 
-    Every (side, configuration) is one task, run through one process pool
-    of at most `workers` processes: each task builds its placement once,
-    at its own side and the largest cutoff, and serves every cutoff from
-    one evaluation of its pair echoes. Curves are means in configuration
-    order, so they do not depend on the worker count. For each r_max the
+    Sides whose cubes hold cell counts of one parity nest exactly, as do
+    the cutoffs, so every (cell-parity class, configuration) is one task,
+    run through one process pool of at most `workers` processes. Each task
+    builds its placement once, at its class's largest cube and the largest
+    cutoff, and serves every smaller cube of the class and every cutoff
+    from one evaluation of its pair echoes, as pair masks. The class with
+    the largest cube runs first. Curves are means in configuration order,
+    so they do not depend on the worker count. For each r_max the
     distances tuple holds sup-norm differences between ensemble curves of
     successive sides in the given order.
     """
@@ -166,12 +180,19 @@ def convergence_study(
     sides = list(dict.fromkeys(side_list_nm))
     cutoffs = tuple(dict.fromkeys(r_max_list_nm))
     s_a, s_b = _donor_levels(params)
+    cubes = {side: dataclasses.replace(params.lattice, side_nm=side) for side in sides}
+    # one cube per cell count; classes of one cell parity, each largest
+    # first, the class of the largest cube first
+    by_count = {cube.cells_per_axis: cube for cube in cubes.values()}
+    counts = sorted(by_count, reverse=True)
+    classes = [[n for n in counts if n % 2 == parity]
+               for parity in dict.fromkeys(n % 2 for n in counts)]
+    n_configs = params.n_configs
     tasks = [
-        (dataclasses.replace(params, r_max_nm=max(cutoffs),
-                             lattice=dataclasses.replace(params.lattice, side_nm=side)),
-         index, cutoffs, s_a, s_b)
-        for side in sides
-        for index in range(params.n_configs)
+        (dataclasses.replace(params, r_max_nm=max(cutoffs), lattice=by_count[members[0]]),
+         index, tuple(by_count[n] for n in members[1:]), cutoffs, s_a, s_b)
+        for members in classes
+        for index in range(n_configs)
     ]
     pool_size = max(1, min(workers, len(tasks)))
     if pool_size > 1:
@@ -182,10 +203,14 @@ def convergence_study(
 
     times = np.asarray(params.time_grid_ms, dtype=float)
     curves: dict[tuple[float, float], EchoCurve] = {}
-    for s, side in enumerate(sides):
-        configs = per_task[s * params.n_configs:(s + 1) * params.n_configs]
+    # cell count -> (its class's task block, its cube's block of rows)
+    where = {n: (k, box) for k, members in enumerate(classes) for box, n in enumerate(members)}
+    for side in sides:
+        k, box = where[cubes[side].cells_per_axis]
+        configs = per_task[k * n_configs:(k + 1) * n_configs]
         for c, r_max in enumerate(cutoffs):
-            curves[(side, r_max)] = _mean_curve([curve[c] for curve in configs], times)
+            row = box * len(cutoffs) + c
+            curves[(side, r_max)] = _mean_curve([curve[row] for curve in configs], times)
     distances = {
         r_max: tuple(
             float(np.max(np.abs(curves[(b, r_max)].amplitude - curves[(a, r_max)].amplitude)))

@@ -15,7 +15,8 @@ positions of the two cubes are disjoint.
 `occupied_positions` draws the same decisions straight from the integer
 lattice, one x-plane of cells at a time, and keeps only the occupied
 sites; `occupy` applies them to an explicit site array and is the
-reference it is tested against.
+reference it is tested against. `in_cube` selects a smaller cube of the
+same parity from a larger cube's sites.
 """
 
 from __future__ import annotations
@@ -82,9 +83,38 @@ def _pack_keys(q: np.ndarray) -> np.ndarray:
 _DONOR_KEY = _pack_keys(np.zeros((1, 3), dtype=np.int64))[0]
 
 
+def _quarters(positions: np.ndarray, a0_nm: float) -> np.ndarray:
+    """(N, 3) integer quarter-grid coordinates of donor-relative positions (nm)."""
+    return np.rint(positions * (4.0 / a0_nm)).astype(np.int64)
+
+
 def _site_keys(positions: np.ndarray, a0_nm: float) -> np.ndarray:
     """Canonical uint64 index per site from donor-relative positions (nm)."""
-    return _pack_keys(np.rint(positions * (4.0 / a0_nm)).astype(np.int64))
+    return _pack_keys(_quarters(positions, a0_nm))
+
+
+def _donor_offset(cells: int) -> int:
+    """Quarter steps from the cube's low corner to its donor along each axis.
+
+    The donor is the site nearest the centre (2n quarter steps in), ties to
+    the lexicographically first: the centre itself for even n, 2n - 1 on
+    every axis for odd n. Either way no site of the cube is more than 2n
+    quarter steps from it along any axis.
+    """
+    return 2 * cells - cells % 2
+
+
+def in_cube(positions: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """(N,) whether each donor-relative position (nm) lies in spec's cube,
+    quarter coordinates [-D, 4n - 1 - D] on each axis for n cells.
+
+    Cubes of n and m cells of one parity have donor offsets 2 (n - m)
+    apart, a whole number of cells, so the smaller cube's sites are
+    exactly the larger cube's sites in its span.
+    """
+    low = -_donor_offset(spec.cells_per_axis)
+    q = _quarters(np.asarray(positions, dtype=float), spec.a0_nm)
+    return np.all((q >= low) & (q < low + 4 * spec.cells_per_axis), axis=1)
 
 
 def _chooser(abundance: float, seed: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -138,11 +168,7 @@ def occupied_positions(
     """
     chosen = _chooser(abundance, seed)
     n = spec.cells_per_axis
-    # the donor is the site nearest the centre (2n quarter steps in on each
-    # axis), ties to the lexicographically first: the centre itself for
-    # even n, 2n - 1 on every axis for odd n. Either way no site of the
-    # cube is more than 2n quarter steps from it along any axis.
-    donor = 2 * n - n % 2
+    donor = _donor_offset(n)
     if n > MAX_CELLS_PER_AXIS:
         raise ValueError("lattice too large for the coordinate key")
     plane = np.indices((1, n, n)).reshape(3, -1).T

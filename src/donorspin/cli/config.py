@@ -128,6 +128,16 @@ def _cube_fits(side_nm: float, config) -> bool:
     return spec.cells_per_axis <= MAX_CELLS_PER_AXIS
 
 
+def converge_echo_name(side_nm: float, shell: int) -> str:
+    """The cce-converge echo CSV of one box side and pair shell."""
+    return f"echo_side{side_nm:g}_shell{shell}.csv"
+
+
+def _distinct(names) -> bool:
+    names = list(names)
+    return len(set(names)) == len(names)
+
+
 def _labels_of_donor(config, section: str) -> bool:
     labels = config[section]["label_upper"], config[section]["label_lower"]
     return max(labels) <= spin_system(config).dimension
@@ -160,6 +170,15 @@ RULES = (
     (f"converge.sides_nm: every side must hold 2 to {MAX_CELLS_PER_AXIS} cells of "
      "cce.a0_nm per axis",
      lambda c: all(_cube_fits(side, c) for side in c["converge"]["sides_nm"])),
+    # two entries that name one echo CSV would overwrite each other's output
+    ("converge.sides_nm: the sides {converge[sides_nm]!r} must each write their own echo "
+     "CSV, but two give the same file name",
+     lambda c: _distinct(converge_echo_name(side, c["converge"]["shells"][0])
+                         for side in c["converge"]["sides_nm"])),
+    ("converge.shells: the shells {converge[shells]!r} must each write their own echo CSV, "
+     "but two give the same file name",
+     lambda c: _distinct(converge_echo_name(c["converge"]["sides_nm"][0], shell)
+                         for shell in c["converge"]["shells"])),
     ("rabi.label_upper, rabi.label_lower: {rabi[label_upper]} and {rabi[label_lower]} must "
      "be labels 1..{dimension} one m apart for the drive to couple them at rabi.field_t",
      _rabi_coupled),

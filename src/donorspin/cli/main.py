@@ -40,7 +40,14 @@ from ..spectra import (
     synthesize_spectrum,
 )
 from ..doublet import level_table
-from .config import ConfigError, load_config, render_config, spin_system, validate
+from .config import (
+    ConfigError,
+    converge_echo_name,
+    load_config,
+    render_config,
+    spin_system,
+    validate,
+)
 from .manifest import build_manifest, json_ready
 
 
@@ -201,7 +208,7 @@ def cmd_cce_converge(config) -> CommandResult:
     for shell, r_max in zip(section["shells"], resolved):
         for side in section["sides_nm"]:
             curve = study.curves[(side, r_max)]
-            outputs[f"echo_side{side:g}_shell{shell}.csv"] = (
+            outputs[converge_echo_name(side, shell)] = (
                 _ECHO_HEADER, (curve.times_ms, curve.amplitude, curve.std_of_mean))
     distances = {
         str(shell): list(study.distances[r_max])

@@ -1,12 +1,16 @@
-"""Run manifests: resolved config, version, constants hash, checksums."""
+"""Run manifests: resolved config, version, constants hash, checksums and
+the software and machine the run used."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import os
+import sys
 import time
 from typing import Any
+
+import numpy as np
 
 from .. import __version__
 from ..constants import CONSTANTS
@@ -50,6 +54,11 @@ def build_manifest(
         "config": json_ready(config),
         "wall_time_s": time.monotonic() - started,
         "outputs": {os.path.basename(p): file_sha256(p) for p in output_paths},
+        "environment": {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     if extra:
         manifest.update(json_ready(extra))

@@ -387,6 +387,37 @@ def test_manifest_lists_exactly_the_written_files(tmp_path, command):
         assert digest == file_sha256(str(out / name))
 
 
+@pytest.mark.parametrize("command", sorted(OUTPUT_RUNS))
+def test_manifest_records_the_environment(tmp_path, command):
+    cfg = write_config(tmp_path, OUTPUT_RUNS[command])
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) in (0, 1)
+    manifest = json.loads((out / f"{command}_manifest.json").read_text())
+    assert manifest["environment"] == {
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        # both sides print as "3" in their echo CSV names
+        ("converge.sides_nm", "sides_nm = 3.0000001 3.0000002"),
+        ("converge.sides_nm", "sides_nm = 3.0 7.0 3.0"),
+        ("converge.shells", "shells = 3 2 3"),
+    ],
+)
+def test_two_entries_with_one_echo_name_are_usage_error(tmp_path, capsys, key, text):
+    cfg = write_config(tmp_path, f"[cce]\nn_configs = 1\nt_steps = 6\n[converge]\n{text}\n")
+    out = tmp_path / "out"
+    assert run_cli("cce-converge", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cce_converge_outputs_and_distances(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -727,10 +758,11 @@ def test_cce_commands_run_without_scipy(tmp_path):
 
 
 def test_cce_converge_workers_byte_identical(tmp_path):
-    # 2 sides x 2 configs: three workers split the four tasks unevenly
+    # 10 and 11 cells are two parity classes, so 2 x 2 configs: three
+    # workers split the four tasks unevenly
     cfg = write_config(
         tmp_path,
-        "[cce]\nn_configs = 2\nt_steps = 9\n[converge]\nsides_nm = 5.5 7.0\nshells = 2 3\n",
+        "[cce]\nn_configs = 2\nt_steps = 9\n[converge]\nsides_nm = 5.5 6.0\nshells = 2 3\n",
     )
     outputs = {}
     for workers in ("1", "2", "3"):

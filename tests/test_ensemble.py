@@ -248,6 +248,42 @@ def test_one_build_and_one_pair_echo_pass_per_task(monkeypatch):
     monkeypatch.setattr(echo, "_pair_amplitudes", counted("kernel", echo._pair_amplitudes))
     params = _params(n_configs=2)
     cutoffs = [SECOND_NN_FACTOR * 0.543, THIRD_NN_FACTOR * 0.543]
-    convergence_study(params, [2.2, 3.3], cutoffs, workers=1)
-    tasks = 2 * params.n_configs
-    assert counts == {"build": tasks, "dipolar": tasks, "kernel": tasks}
+    # 4 and 6 cells share one build; 4 and 5 cells are two parity classes
+    for sides, classes in (([2.2, 3.3], 1), ([2.2, 2.8], 2)):
+        counts.update(dict.fromkeys(counts, 0))
+        convergence_study(params, sides, cutoffs, workers=1)
+        tasks = classes * params.n_configs
+        assert counts == {"build": tasks, "dipolar": tasks, "kernel": tasks}
+
+
+def test_nested_sides_match_builds_at_each_side(monkeypatch):
+    # unsorted, both parities, and two sides of one cell count
+    sides = [2.8, 2.2, 3.3, 1.7, 2.3]
+    a0 = 0.543
+    assert [LatticeSpec(side).cells_per_axis for side in sides] == [5, 4, 6, 3, 4]
+    params = _params(n_configs=2, seed=11)
+    cutoffs = [THIRD_NN_FACTOR * a0, SECOND_NN_FACTOR * a0]
+    builds = []
+    monkeypatch.setattr(ensemble, "build_configuration",
+                        lambda *args: builds.append(args) or build_configuration(*args))
+    study = convergence_study(params, sides, cutoffs, workers=1)
+    # one build per (cell-parity class, configuration), at each class's largest cube
+    assert len(builds) == 2 * params.n_configs
+    assert sorted({b[0].lattice.cells_per_axis for b in builds}) == [5, 6]
+    es = diagonalize(params.system, params.field_b)
+    s_a, s_b = expectation_sz(es, 11), expectation_sz(es, 10)
+    for side in sides:
+        for r_max in cutoffs:
+            alone = dataclasses.replace(
+                params, r_max_nm=r_max, lattice=dataclasses.replace(params.lattice, side_nm=side))
+            want = np.mean(np.stack([
+                cce2_echo(build_configuration(alone, i), s_a, s_b, np.asarray(TIMES)).amplitude
+                for i in range(params.n_configs)]), axis=0)
+            assert np.array_equal(study.curves[(side, r_max)].amplitude, want)
+    assert study.curves[(2.8, cutoffs[0])].amplitude[-1] < 1.0
+    pooled = convergence_study(params, sides, cutoffs, workers=3)
+    assert pooled.workers_used == 3
+    for key, curve in study.curves.items():
+        assert np.array_equal(pooled.curves[key].amplitude, curve.amplitude)
+        assert np.array_equal(pooled.curves[key].std_of_mean, curve.std_of_mean)
+    assert pooled.distances == study.distances

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from donorspin.bath import LatticeSpec, generate_lattice, occupied_positions, occupy
-from donorspin.bath.occupancy import _DONOR_KEY, _chooser, _site_keys
+from donorspin.bath.occupancy import _DONOR_KEY, _chooser, _site_keys, in_cube
 
 A0 = 0.543
 
@@ -100,6 +100,21 @@ def test_cubes_of_one_cell_parity_nest_exactly(large, small):
     assert _occupied_set(large, seed=77) & _site_set(small) == occ_small
     # both sublattices recur
     assert occ_small != _donor_sublattice(occ_small)
+
+
+@pytest.mark.parametrize("large, small", [(4, 2), (5, 3), (18, 12)])
+def test_smaller_cube_of_one_parity_is_the_larger_cube_in_its_box(large, small):
+    small_spec, large_spec = LatticeSpec(small * A0), LatticeSpec(large * A0)
+    assert (small_spec.cells_per_axis, large_spec.cells_per_axis) == (small, large)
+    sites = generate_lattice(small_spec)
+    low, high = sites.min(axis=0), sites.max(axis=0)
+    for seed in (3, 77):
+        occ_large = occupied_positions(large_spec, 0.3, seed)
+        box = np.all((occ_large >= low) & (occ_large <= high), axis=1)
+        # the same sites in the same order, bit for bit
+        assert np.array_equal(occupied_positions(small_spec, 0.3, seed), occ_large[box])
+        assert np.array_equal(in_cube(occ_large, small_spec), box)
+    assert np.all(in_cube(generate_lattice(large_spec), large_spec))
 
 
 @pytest.mark.parametrize("large, small", [(14.0, 10.0), (18.0, 10.0), (14.0, 7.0)])
