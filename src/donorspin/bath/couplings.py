@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,22 +24,18 @@ class KohnLuttingerModel:
 
     The envelope radii are the effective-mass Bohr radii (a transverse,
     b longitudinal) shrunk by n = sqrt(E0/Ei) for a donor with ionization
-    energy Ei; eta is the central-cell charge-density enhancement. All
-    values are independently overridable.
+    energy Ei; eta is the central-cell charge-density enhancement. The
+    envelope is fixed; a0 comes from the lattice and g from the donor.
     """
 
-    ionization_mev: float = 69.0
-    rydberg_mev: float = 31.3
-    radius_a_nm: float = 2.509
-    radius_b_nm: float = 1.443
-    eta: float = 186.0
-    k0_factor: float = 0.85
+    ionization_mev: ClassVar[float] = 69.0
+    rydberg_mev: ClassVar[float] = 31.3
+    radius_a_nm: ClassVar[float] = 2.509
+    radius_b_nm: ClassVar[float] = 1.443
+    eta: ClassVar[float] = 186.0
+    k0_factor: ClassVar[float] = 0.85
     a0_nm: float = SI_LATTICE_NM
     g_factor: float = BI_G_FACTOR
-
-    def __post_init__(self):
-        if min(self.ionization_mev, self.rydberg_mev, self.radius_a_nm, self.radius_b_nm) <= 0:
-            raise ValueError("model energies and radii must be positive")
 
     @property
     def n_scale(self) -> float:

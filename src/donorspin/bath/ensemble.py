@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from typing import ClassVar
 
@@ -96,32 +97,33 @@ def _donor_levels(params: CceParams) -> tuple[float, float]:
 
 def _config_curves(
     args: tuple[CceParams, int, tuple[LatticeSpec, ...], tuple[float, ...], float, float],
-) -> np.ndarray:
-    """Echo amplitude of one placement, one curve per (cube, pair cutoff):
-    the whole cube's cutoffs first, then each box's.
+) -> dict[tuple[int, float], np.ndarray]:
+    """Echo amplitude of one placement for each (cells_per_axis, cutoff)
+    of one cell-parity class's cubes, largest first, and the cutoffs.
 
-    params.lattice is the largest cube of a cell-parity class and
-    params.pair_cutoff_nm the largest cutoff; the placement is built and
-    its pair echoes evaluated once. The boxes are the class's smaller
-    cubes. Such a cube's sites are the placement's sites within its box,
-    in the same cell-major order, with the same positions, J and b
-    (`in_cube`), and a cutoff's pairs are the pairs within it by the
-    squared-distance rule of `enumerate_pairs`. So each curve, the product
-    over the pairs with both sites in the cube and within the cutoff, is
-    exactly the echo of a build at that side and cutoff. The kernel forms
-    every product in its one pass over the times.
+    The placement is built and its pair echoes evaluated once, at the
+    largest cube and the largest cutoff. A smaller cube's sites are the
+    placement's sites within its box, in the same cell-major order, with
+    the same positions, J and b (`in_cube`), and a cutoff's pairs are the
+    pairs within it by the squared-distance rule of `enumerate_pairs`. So
+    each curve, the product over the pairs with both sites in the cube
+    and within the cutoff, is exactly the echo of a build at that cube and
+    cutoff. The kernel forms every product in its one pass over the times.
     """
-    params, index, boxes, cutoffs, s_a, s_b = args
-    config = build_configuration(params, index)
+    params, index, cubes, cutoffs, s_a, s_b = args
+    config = build_configuration(
+        dataclasses.replace(params, lattice=cubes[0], r_max_nm=max(cutoffs)), index)
     pos, pairs = config.positions, config.pair_indices
     d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=1)
-    whole = np.array([d2 <= r * r + PAIR_D2_TOL_NM2 for r in cutoffs])
-    boxed = []
-    for box in boxes:
-        inside = in_cube(pos, box)
-        boxed.append(whole & (inside[pairs[:, 0]] & inside[pairs[:, 1]]))
-    masks = np.concatenate([whole, *boxed]) if boxed else whole
-    return _pair_products(config, s_a, s_b, params.time_grid_ms, masks)
+    within = [d2 <= r * r + PAIR_D2_TOL_NM2 for r in cutoffs]
+    masks = {}
+    for k, cube in enumerate(cubes):
+        # pairs with both sites in the cube; the largest holds every site
+        inside = in_cube(pos, cube)[pairs].all(axis=1) if k else True
+        for r, mask in zip(cutoffs, within):
+            masks[(cube.cells_per_axis, r)] = mask & inside
+    rows = _pair_products(config, s_a, s_b, params.time_grid_ms, np.array(list(masks.values())))
+    return dict(zip(masks, rows))
 
 
 def _mean_curve(curves: list[np.ndarray], times: np.ndarray) -> EchoCurve:
@@ -167,11 +169,13 @@ def convergence_study(
     Sides whose cubes hold cell counts of one parity nest exactly, as do
     the cutoffs, so every (cell-parity class, configuration) is one task,
     run through one process pool of at most `workers` processes. Each task
-    builds its placement once, at its class's largest cube and the largest
-    cutoff, and serves every smaller cube of the class and every cutoff
-    from one evaluation of its pair echoes, as pair masks. The class with
-    the largest cube runs first. Curves are means in configuration order,
-    so they do not depend on the worker count. For each r_max the
+    builds its placement once and returns a curve for every cube of its
+    class and every cutoff (`_config_curves`). Tasks run class-major, the
+    class with the largest cube first, and configuration-minor, so each
+    key's curves arrive in configuration order and its curve is their
+    mean; it does not depend on the worker count. When a task fails or a
+    signal ends the run, the running tasks finish and no queued task
+    starts. For each r_max the
     distances tuple holds sup-norm differences between ensemble curves of
     successive sides in the given order.
     """
@@ -181,36 +185,41 @@ def convergence_study(
     cutoffs = tuple(dict.fromkeys(r_max_list_nm))
     s_a, s_b = _donor_levels(params)
     cubes = {side: dataclasses.replace(params.lattice, side_nm=side) for side in sides}
-    # one cube per cell count; classes of one cell parity, each largest
-    # first, the class of the largest cube first
+    # one cube per cell count, largest first
     by_count = {cube.cells_per_axis: cube for cube in cubes.values()}
-    counts = sorted(by_count, reverse=True)
-    classes = [[n for n in counts if n % 2 == parity]
-               for parity in dict.fromkeys(n % 2 for n in counts)]
-    n_configs = params.n_configs
+    largest_first = [by_count[n] for n in sorted(by_count, reverse=True)]
     tasks = [
-        (dataclasses.replace(params, r_max_nm=max(cutoffs), lattice=by_count[members[0]]),
-         index, tuple(by_count[n] for n in members[1:]), cutoffs, s_a, s_b)
-        for members in classes
-        for index in range(n_configs)
+        (params, index, tuple(c for c in largest_first if c.cells_per_axis % 2 == parity),
+         cutoffs, s_a, s_b)
+        for parity in dict.fromkeys(c.cells_per_axis % 2 for c in largest_first)
+        for index in range(params.n_configs)
     ]
     pool_size = max(1, min(workers, len(tasks)))
     if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            per_task = list(pool.map(_config_curves, tasks))
+        # workers die on SIGTERM, as the pool's terminate() expects, and do
+        # not run a handler inherited from the parent
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=signal.signal,
+                                 initargs=(signal.SIGTERM, signal.SIG_DFL)) as pool:
+            try:
+                per_task = list(pool.map(_config_curves, tasks))
+            except BaseException:
+                # map cancels the queued tasks only once its iterator is
+                # freed, which is after the pool's exit has run them all
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         per_task = [_config_curves(task) for task in tasks]
 
+    by_key: dict[tuple[int, float], list[np.ndarray]] = {}
+    for task_curves in per_task:
+        for key, curve in task_curves.items():
+            by_key.setdefault(key, []).append(curve)
     times = np.asarray(params.time_grid_ms, dtype=float)
-    curves: dict[tuple[float, float], EchoCurve] = {}
-    # cell count -> (its class's task block, its cube's block of rows)
-    where = {n: (k, box) for k, members in enumerate(classes) for box, n in enumerate(members)}
-    for side in sides:
-        k, box = where[cubes[side].cells_per_axis]
-        configs = per_task[k * n_configs:(k + 1) * n_configs]
-        for c, r_max in enumerate(cutoffs):
-            row = box * len(cutoffs) + c
-            curves[(side, r_max)] = _mean_curve([curve[row] for curve in configs], times)
+    curves = {
+        (side, r_max): _mean_curve(by_key[(cubes[side].cells_per_axis, r_max)], times)
+        for side in sides
+        for r_max in cutoffs
+    }
     distances = {
         r_max: tuple(
             float(np.max(np.abs(curves[(b, r_max)].amplitude - curves[(a, r_max)].amplitude)))

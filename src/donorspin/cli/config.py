@@ -128,6 +128,19 @@ def _cube_fits(side_nm: float, config) -> bool:
     return spec.cells_per_axis <= MAX_CELLS_PER_AXIS
 
 
+# largest resonances spectrum grid: about 80 MB per float64 array
+MAX_SPECTRUM_POINTS = 10**7
+
+
+def spectrum_points(section) -> float:
+    """Point count of the resonances spectrum grid, b_min_t to b_max_t in
+    steps of grid_step_mt; a float, so that no count overflows."""
+    step_t = section["grid_step_mt"] * 1e-3
+    if step_t == 0.0:  # a step under 1e-321 mT underflows
+        return math.inf
+    return round((section["b_max_t"] - section["b_min_t"]) / step_t, 0) + 1.0
+
+
 def converge_echo_name(side_nm: float, shell: int) -> str:
     """The cce-converge echo CSV of one box side and pair shell."""
     return f"echo_side{side_nm:g}_shell{shell}.csv"
@@ -164,6 +177,10 @@ RULES = (
      lambda c: c["freqmap"]["b_max_t"] >= c["freqmap"]["b_min_t"]),
     ("resonances.b_max_t: must be above resonances.b_min_t",
      lambda c: c["resonances"]["b_max_t"] > c["resonances"]["b_min_t"]),
+    (f"resonances.grid_step_mt, resonances.b_min_t, resonances.b_max_t: a step of "
+     f"{{resonances[grid_step_mt]!r}} mT from {{resonances[b_min_t]!r}} to "
+     f"{{resonances[b_max_t]!r}} T must give at most {MAX_SPECTRUM_POINTS:,} spectrum points",
+     lambda c: spectrum_points(c["resonances"]) <= MAX_SPECTRUM_POINTS),
     (f"cce.side_nm: {{cce[side_nm]!r}} nm must hold 2 to {MAX_CELLS_PER_AXIS} cells "
      "of cce.a0_nm per axis",
      lambda c: _cube_fits(c["cce"]["side_nm"], c)),

@@ -13,11 +13,14 @@ bit-exactly from its manifest alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import os
+import signal
 import sys
+import threading
 import time
 from typing import Any, NamedTuple
 
@@ -45,6 +48,7 @@ from .config import (
     converge_echo_name,
     load_config,
     render_config,
+    spectrum_points,
     spin_system,
     validate,
 )
@@ -121,9 +125,7 @@ def cmd_resonances(config) -> CommandResult:
         (section["b_min_t"], section["b_max_t"]),
         intensity_floor=section["intensity_floor"],
     )
-    step_t = section["grid_step_mt"] * 1e-3
-    n_points = int(round((section["b_max_t"] - section["b_min_t"]) / step_t)) + 1
-    grid = np.linspace(section["b_min_t"], section["b_max_t"], n_points)
+    grid = np.linspace(section["b_min_t"], section["b_max_t"], int(spectrum_points(section)))
     curve = synthesize_spectrum(transitions, section["fwhm_mt"], "derivative", grid)
     return CommandResult({
         "resonances.json": [dataclasses.asdict(tr) for tr in transitions],
@@ -157,8 +159,9 @@ def cmd_rabi(config) -> CommandResult:
         "pi_time_ns": 1e3 / (2.0 * rabi_mhz),
     }
     if section["input_csv"] is not None:
-        data = _read_columns(section["input_csv"], ("time_us", "signal"))
-        payload["measured_mhz"] = rabi_peak(data["time_us"], data["signal"])
+        with _about_input("rabi.input_csv"):
+            data = _read_columns(section["input_csv"], ("time_us", "signal"))
+            payload["measured_mhz"] = rabi_peak(data["time_us"], data["signal"])
     return CommandResult({"rabi.json": payload})
 
 
@@ -217,6 +220,16 @@ def cmd_cce_converge(config) -> CommandResult:
     return CommandResult(outputs, {"distances": distances, "workers_used": study.workers_used})
 
 
+@contextlib.contextmanager
+def _about_input(key: str):
+    """Report an error about an input CSV or its data as a usage error
+    naming the key that set the file."""
+    try:
+        yield
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _read_columns(path: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
     try:
         with open(path) as fh:
@@ -256,9 +269,10 @@ def cmd_fit(config) -> CommandResult:
     if section["input_csv"] is None:
         raise ConfigError("fit.input_csv: required for the fit command")
     x_name, y_name, routine, keys = FIT_MODELS[section["model"]]
-    data = _read_columns(section["input_csv"], (x_name, y_name))
-    x, y = data[x_name], data[y_name]
-    result = routine(x, y, **{arg: section[key] for arg, key in keys.items()})
+    with _about_input("fit.input_csv"):
+        data = _read_columns(section["input_csv"], (x_name, y_name))
+        x, y = data[x_name], data[y_name]
+        result = routine(x, y, **{arg: section[key] for arg, key in keys.items()})
     curve = np.where(np.isfinite(result.fitted), result.fitted, np.nan)
     return CommandResult({
         "fit.json": _fit_result_payload(result),
@@ -307,7 +321,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _terminated(signum, frame):
+    # a second SIGTERM (`timeout` sends one to the process and one to its
+    # group) must not cut short the shutdown of the workers
+    signal.signal(signum, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. In the main thread a SIGTERM ends the run as
+    `SystemExit(143)`, which stops its worker processes on the way out;
+    the previous handler is back when `main` returns."""
+    if threading.current_thread() is not threading.main_thread():
+        return _run(argv)
+    previous = signal.signal(signal.SIGTERM, _terminated)
+    try:
+        return _run(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _run(argv: list[str] | None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)

@@ -8,10 +8,12 @@ import json
 import math
 import os
 import re
+import signal
 import string
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from donorspin.bath import (
 from donorspin.bath.ensemble import THIRD_NN_FACTOR
 from donorspin.bath.occupancy import MAX_CELLS_PER_AXIS
 from donorspin.cli import SCHEMA, ConfigError, default_config, load_config, render_config
-from donorspin.cli.config import validate
+from donorspin.cli.config import MAX_SPECTRUM_POINTS, spectrum_points, validate
 from donorspin.cli.main import _CSV_BLOCK_CELLS, _write, main
 from donorspin.cli.manifest import file_sha256
 
@@ -143,6 +145,33 @@ def test_resonances_high_floor_empty_but_valid(tmp_path):
     assert lines[0] == "field_t,signal"
     signals = [float(line.split(",")[1]) for line in lines[1:]]
     assert signals and all(s == 0.0 for s in signals)
+
+
+@pytest.mark.parametrize("text", ["grid_step_mt = 1e-9", "b_max_t = 1e300",
+                                  "grid_step_mt = 5e-324"])
+def test_spectrum_grid_past_its_limit_is_usage_error(tmp_path, capsys, text):
+    # the first two would allocate 4 TiB or overflow linspace; the last
+    # step underflows to 0 T
+    cfg = write_config(tmp_path, f"[resonances]\n{text}\n")
+    out = tmp_path / "out"
+    assert run_cli("resonances", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    for key in ("resonances.grid_step_mt", "resonances.b_min_t", "resonances.b_max_t"):
+        assert key in err
+    assert f"{MAX_SPECTRUM_POINTS:,}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_spectrum_grid_at_its_limit_is_allowed():
+    config = default_config()
+    config["resonances"].update(b_min_t=0.0, b_max_t=0.5, grid_step_mt=0.5e-4)
+    assert spectrum_points(config["resonances"]) == MAX_SPECTRUM_POINTS + 1
+    with pytest.raises(ConfigError, match="resonances.grid_step_mt"):
+        validate(config)
+    config["resonances"]["b_max_t"] = 0.49999995
+    assert spectrum_points(config["resonances"]) == MAX_SPECTRUM_POINTS
+    validate(config)
 
 
 def test_freqmap_zero_field_degeneracy(tmp_path):
@@ -482,6 +511,24 @@ def test_fit_missing_column_exit_2_no_partial_output(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, key", [("fit", "fit.input_csv"), ("rabi", "rabi.input_csv")])
+@pytest.mark.parametrize("problem", ["short", "missing"])
+def test_input_csv_errors_name_their_key(tmp_path, capsys, command, key, problem):
+    # a 3-row input is below every fit's and rabi_peak's minimum
+    header = "time_ms,amplitude" if command == "fit" else "time_us,signal"
+    data = tmp_path / "data.csv"
+    if problem == "short":
+        data.write_text(f"{header}\n0.0,1.0\n0.1,0.9\n0.2,0.8\n")
+    section = "[fit]\nmodel = echo_decay\n" if command == "fit" else "[rabi]\n"
+    cfg = write_config(tmp_path, f"{section}input_csv = {data}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ")
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_fit_nonconverged_exit_1(tmp_path):
     from donorspin.fitting import gaussian_sum
 
@@ -692,6 +739,64 @@ def test_workers_flag_below_one_is_usage_error(tmp_path, capsys, workers):
     assert run_cli("levels", "--out", str(out), "--workers", workers) == 2
     assert "run.workers" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_main_restores_the_previous_sigterm_handler(tmp_path):
+    def previous(signum, frame):
+        pass
+
+    old = signal.signal(signal.SIGTERM, previous)
+    try:
+        assert run_cli("levels", "--out", str(tmp_path)) == 0
+        assert signal.getsignal(signal.SIGTERM) is previous
+    finally:
+        signal.signal(signal.SIGTERM, old)
+
+
+@pytest.mark.parametrize("to_group", [False, True], ids=["process", "group"])
+def test_sigterm_stops_the_run_and_its_workers(tmp_path, to_group):
+    # 200 placements of about 60 ms each take far longer than the 2 s allowed
+    # below, so the run must start no queued task after the signal; sent to
+    # the group, as `timeout` sends it, the signal reaches the workers too
+    cfg = write_config(tmp_path, "[cce]\nside_nm = 27.8\nn_configs = 200\nfit = false\n")
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(donorspin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "donorspin.cli", "cce", "--config", cfg, "--out", str(out),
+             "--workers", "2"],
+            env=dict(os.environ, PYTHONPATH=path), start_new_session=True, stderr=err,
+        )
+    try:
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        if not os.path.exists(children):
+            pytest.skip("needs /proc/<pid>/task/<pid>/children to see the workers")
+        workers = []
+        while len(workers) < 2 and proc.poll() is None:
+            with open(children) as fh:
+                workers = fh.read().split()
+            time.sleep(0.005)
+        assert len(workers) == 2, "the run ended before both workers started"
+        if to_group:
+            os.killpg(proc.pid, signal.SIGTERM)
+        else:
+            proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 2.0
+        assert proc.wait(timeout=2.0) == 143
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a worker outlived the run"
+            time.sleep(0.02)
+        assert not out.exists() or not any(out.iterdir())
+        assert "Traceback" not in (tmp_path / "stderr").read_text()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,5 +1,6 @@
 """Superhyperfine and dipolar couplings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,12 @@ MODEL = KohnLuttingerModel()
 SECOND_NN = A0 * math.sqrt(2.0) / 2.0
 THIRD_NN = A0 * math.sqrt(11.0) / 4.0
 SITES = generate_lattice(LatticeSpec(side_nm=3 * A0))
+
+
+def test_the_model_has_two_inputs_and_a_fixed_envelope():
+    assert [f.name for f in dataclasses.fields(KohnLuttingerModel)] == ["a0_nm", "g_factor"]
+    with pytest.raises(TypeError):
+        KohnLuttingerModel(eta=1.0)
 
 
 def _j_reference(pos, model):
