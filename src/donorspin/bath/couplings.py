@@ -48,10 +48,13 @@ class KohnLuttingerModel:
     def psi_squared(self, positions: np.ndarray) -> np.ndarray:
         """|psi|^2 in nm^-3 at donor-relative positions (nm)."""
         pos = np.atleast_2d(np.asarray(positions, dtype=float))
+        return self._psi_squared(pos, np.sum(pos * pos, axis=1))
+
+    def _psi_squared(self, pos: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        """psi_squared of (N, 3) positions whose squared radii r2 are known."""
         na = self.n_scale * self.radius_a_nm
         nb = self.n_scale * self.radius_b_nm
         norm = 1.0 / math.sqrt(math.pi * na * na * nb)
-        r2 = np.sum(pos * pos, axis=1)
         psi = np.zeros(len(pos))
         # valleys +-x, +-y, +-z; the two valleys of an axis contribute
         # identically (even envelope, even cosine)
@@ -75,7 +78,8 @@ def superhyperfine_j(
     valley interference does not flip its sign.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if np.any(np.sum(pos * pos, axis=1) == 0.0):
+    r2 = np.sum(pos * pos, axis=1)
+    if np.any(r2 == 0.0):
         raise ValueError("superhyperfine coupling is not defined at the donor site")
     prefactor_si = (
         (4.0 * CONSTANTS.vacuum_permeability / 3.0)
@@ -85,7 +89,7 @@ def superhyperfine_j(
         * model.eta
     )
     # nm^-3 -> m^-3 is 1e27, Hz -> MHz is 1e-6
-    return prefactor_si * model.psi_squared(pos) * 1e27 * 1e-6
+    return prefactor_si * model._psi_squared(pos, r2) * 1e27 * 1e-6
 
 
 def dipolar_b(
@@ -120,6 +124,10 @@ _HALF_SHELL_ROWS = np.array([(0, 1), (1, -1), (1, 0), (1, 1)], dtype=np.intp)
 
 def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
     """All index pairs with separation <= r_max, sorted, as a (P, 2) array.
+
+    The generic search, for any point set. Bath builds find their pairs
+    on the lattice their sites come from (`occupancy._lattice_pairs`);
+    this search is the reference that one is tested against.
 
     Membership is d2 <= r_max^2 + PAIR_D2_TOL_NM2 on the squared distance,
     so shell-radius cutoffs (exact lattice distances) are inclusive, and

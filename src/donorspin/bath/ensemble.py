@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import signal
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import ClassVar
 
 import numpy as np
@@ -13,16 +14,17 @@ import numpy as np
 from ..constants import SI29_ABUNDANCE
 from ..doublet import check_labels, level_table
 from ..spin import SpinSystem, si_bi
-from .couplings import (
-    PAIR_D2_TOL_NM2,
-    KohnLuttingerModel,
-    dipolar_b,
-    enumerate_pairs,
-    superhyperfine_j,
-)
+from .couplings import KohnLuttingerModel, dipolar_b, superhyperfine_j
 from .echo import EchoCurve, _pair_products
 from .lattice import LatticeSpec
-from .occupancy import BathConfiguration, in_cube, occupied_positions
+from .occupancy import (
+    BathConfiguration,
+    _lattice_pairs,
+    _quarters,
+    _within,
+    in_cube,
+    occupied_positions,
+)
 
 # exact neighbor-shell radii of the diamond lattice, in units of a0
 SECOND_NN_FACTOR = math.sqrt(2.0) / 2.0
@@ -73,10 +75,12 @@ class CceParams:
 def build_configuration(params: CceParams, config_index: int) -> BathConfiguration:
     """Bath placement number config_index (seeded seed + index), fully coupled:
     its occupied sites, their J, the pairs within params.pair_cutoff_nm and
-    their dipolar b."""
+    their dipolar b. The pairs come from the lattice the sites were drawn
+    from (`_lattice_pairs`); they are exactly `enumerate_pairs` of the
+    positions."""
     seed = params.seed + config_index
     pos = occupied_positions(params.lattice, params.abundance, seed)
-    pairs = enumerate_pairs(pos, params.pair_cutoff_nm)
+    pairs = _lattice_pairs(pos, params.lattice, params.pair_cutoff_nm)
     direction = np.asarray(params.b_direction, dtype=float)
     return BathConfiguration(
         seed=seed,
@@ -104,26 +108,82 @@ def _config_curves(
     The placement is built and its pair echoes evaluated once, at the
     largest cube and the largest cutoff. A smaller cube's sites are the
     placement's sites within its box, in the same cell-major order, with
-    the same positions, J and b (`in_cube`), and a cutoff's pairs are the
-    pairs within it by the squared-distance rule of `enumerate_pairs`. So
+    the same positions, J and b (`in_cube`). The largest cutoff's pairs
+    are all the pairs; a smaller cutoff's are those whose quarter-grid
+    offset passes `_within` at it, the rule of a build at that cutoff. So
     each curve, the product over the pairs with both sites in the cube
     and within the cutoff, is exactly the echo of a build at that cube and
     cutoff. The kernel forms every product in its one pass over the times.
     """
     params, index, cubes, cutoffs, s_a, s_b = args
-    config = build_configuration(
-        dataclasses.replace(params, lattice=cubes[0], r_max_nm=max(cutoffs)), index)
+    top = max(cutoffs)
+    config = build_configuration(dataclasses.replace(params, lattice=cubes[0], r_max_nm=top), index)
     pos, pairs = config.positions, config.pair_indices
-    d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=1)
-    within = [d2 <= r * r + PAIR_D2_TOL_NM2 for r in cutoffs]
+    within = {top: np.ones(len(pairs), dtype=bool)}
+    if len(cutoffs) > 1:
+        a0 = params.lattice.a0_nm
+        q = _quarters(pos, a0)
+        offset = q[pairs[:, 1]] - q[pairs[:, 0]]
+        q2 = np.sum(offset * offset, axis=1)
+        within.update((r, _within(q2, a0, r)) for r in cutoffs if r < top)
     masks = {}
     for k, cube in enumerate(cubes):
         # pairs with both sites in the cube; the largest holds every site
         inside = in_cube(pos, cube)[pairs].all(axis=1) if k else True
-        for r, mask in zip(cutoffs, within):
-            masks[(cube.cells_per_axis, r)] = mask & inside
+        for r in cutoffs:
+            masks[(cube.cells_per_axis, r)] = within[r] & inside
     rows = _pair_products(config, s_a, s_b, params.time_grid_ms, np.array(list(masks.values())))
     return dict(zip(masks, rows))
+
+
+def _start_worker() -> None:
+    """Pool worker set-up: die on SIGTERM, as the pool's terminate() expects,
+    rather than run a handler inherited by fork, and take it unblocked."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
+def _pool_map(tasks: list, pool_size: int) -> list:
+    """[_config_curves(task) for task in tasks] on pool_size worker processes.
+
+    No SIGTERM handler may run inside the executor: a `SystemExit` raised
+    there while it held a lock left a work queue locked, and the run hung.
+    While the pool runs, SIGTERM is blocked in this thread and, up to their
+    initializer, in the forked workers; in the main thread a handler that
+    only records it stands in for the caller's, because another thread (the
+    BLAS pool's) may take the signal and Python then runs the handler in
+    the main thread. A SIGTERM pending or recorded, like a failed task,
+    cancels the queued tasks and lets the running ones finish; the mask and
+    handler are then restored and the signal raised again.
+    """
+    previous = signal.getsignal(signal.SIGTERM)
+    stand_in = (threading.current_thread() is threading.main_thread()
+                and previous not in (signal.SIG_IGN, None))
+    received = []
+    if stand_in:
+        signal.signal(signal.SIGTERM, lambda signum, frame: received.append(signum))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        pool = ProcessPoolExecutor(max_workers=pool_size, initializer=_start_worker)
+        try:
+            futures = [pool.submit(_config_curves, task) for task in tasks]
+            pending = futures
+            while pending and not received:
+                done, pending = wait(pending, timeout=0.05, return_when=FIRST_EXCEPTION)
+                if any(future.exception() is not None for future in done) or (
+                        stand_in and signal.SIGTERM in signal.sigpending()):
+                    break
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        # a pending SIGTERM reaches the stand-in here; raised again, it wins
+        # over a pool the signal broke
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if stand_in:
+            signal.signal(signal.SIGTERM, previous)
+        if received:
+            signal.raise_signal(signal.SIGTERM)
+    return [future.result() for future in futures]
 
 
 def _mean_curve(curves: list[np.ndarray], times: np.ndarray) -> EchoCurve:
@@ -196,17 +256,7 @@ def convergence_study(
     ]
     pool_size = max(1, min(workers, len(tasks)))
     if pool_size > 1:
-        # workers die on SIGTERM, as the pool's terminate() expects, and do
-        # not run a handler inherited from the parent
-        with ProcessPoolExecutor(max_workers=pool_size, initializer=signal.signal,
-                                 initargs=(signal.SIGTERM, signal.SIG_DFL)) as pool:
-            try:
-                per_task = list(pool.map(_config_curves, tasks))
-            except BaseException:
-                # map cancels the queued tasks only once its iterator is
-                # freed, which is after the pool's exit has run them all
-                pool.shutdown(cancel_futures=True)
-                raise
+        per_task = _pool_map(tasks, pool_size)
     else:
         per_task = [_config_curves(task) for task in tasks]
 

@@ -16,7 +16,8 @@ positions of the two cubes are disjoint.
 lattice, one x-plane of cells at a time, and keeps only the occupied
 sites; `occupy` applies them to an explicit site array and is the
 reference it is tested against. `in_cube` selects a smaller cube of the
-same parity from a larger cube's sites.
+same parity from a larger cube's sites. `_lattice_pairs` finds a
+placement's pairs on the same integer layout, by a diamond-site stencil.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..constants import SI29_ABUNDANCE, SI_LATTICE_NM
+from .couplings import PAIR_D2_TOL_NM2
 from .lattice import _BASIS, LatticeSpec
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -38,6 +40,12 @@ _COORD_OFFSET = np.int64(1 << 20)  # shifts quarter-grid coordinates positive
 # along any axis, all stay below _COORD_OFFSET
 MAX_CELLS_PER_AXIS = int(_COORD_OFFSET - 1) // 2
 _BASIS_QUARTERS = np.rint(4 * _BASIS).astype(np.int64)
+# basis index of a site from its quarter coordinates mod 4, packed 16x + 4y + z;
+# -1 where no diamond site sits
+_BASIS_INDEX = np.full(64, -1, dtype=np.intp)
+_BASIS_INDEX[_BASIS_QUARTERS @ np.array([16, 4, 1])] = np.arange(len(_BASIS))
+# sites a pair search's rank map may hold whatever the spin count (16 MB)
+_RANK_MAP_SITES = 1 << 22
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,3 +188,78 @@ def occupied_positions(
         q[:, 0] += 4 * i
         chunks.append(q)
     return np.concatenate(chunks) * (spec.a0_nm / 4.0)
+
+
+def _within(k: np.ndarray, a0_nm: float, r_max_nm: float) -> np.ndarray:
+    """Whether lattice offsets of squared length k (quarter steps squared)
+    lie within r_max: k (a0/4)^2 <= r_max^2 + PAIR_D2_TOL_NM2.
+
+    The one membership rule of lattice pairs, for the stencil of a build
+    and for the pair masks of a smaller cutoff alike.
+    """
+    return k * (a0_nm / 4.0) ** 2 <= r_max_nm * r_max_nm + PAIR_D2_TOL_NM2
+
+
+def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) -> np.ndarray:
+    """All index pairs of spec's cube sites within r_max, as `enumerate_pairs`
+    returns them: rows (i, j) with i < j in lexicographic order, dtype np.intp.
+
+    positions are donor-relative sites of the cube (nm), any subset in any
+    order. Each site gets an index on the cube padded by m = ceil(r/a0) + 1
+    cells per face, w = n + 2m cells per axis: ((cx w + cy) w + cz) 8 + basis.
+    A diamond site's partners within r_max sit at fixed index steps that
+    depend on its basis site only; the stencil keeps the forward ones
+    (step > 0), so each pair is found once, from its lower-index site. The
+    sites' ranks are scattered into an int32 map of the padded sites (-1
+    where a site is empty), and each basis site's steps are one gather.
+
+    A forward step moves 0 to m x-planes of cells, so the sites are taken
+    a slab of x-planes at a time, with a map of the slab and the m planes
+    after it. The map holds up to _RANK_MAP_SITES sites, or 64 per spin if
+    that is more: one slab at natural abundance (about 30 padded sites per
+    spin), and for a sparse bath a map that does not grow with the cube.
+    """
+    if not r_max_nm > 0:
+        raise ValueError("pair cutoff must be positive")
+    n = len(positions)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    cells, a0 = spec.cells_per_axis, spec.a0_nm
+    pad = math.ceil(r_max_nm / a0) + 1
+    width = cells + 2 * pad
+    padded = _quarters(positions, a0) + (_donor_offset(cells) + 4 * pad)
+    cell = padded >> 2
+    basis = _BASIS_INDEX[(padded & 3) @ np.array([16, 4, 1])]
+    if np.any(basis < 0) or np.any((cell < pad) | (cell >= pad + cells)):
+        raise ValueError("positions must be sites of the cube")
+    strides = np.array([width * width, width, 1])
+    site = (cell @ strides) * 8 + basis
+    order = np.argsort(site, kind="stable")
+    site, basis = site[order], basis[order]
+
+    # stencil: basis site b to basis site t of the cell `shift` cells away
+    shift = np.indices((2 * pad + 1,) * 3).reshape(3, -1).T - pad
+    dq = (4 * shift[:, None, None, :] + _BASIS_QUARTERS[None, None, :, :]
+          - _BASIS_QUARTERS[None, :, None, :])
+    step = (shift @ strides)[:, None, None] * 8 + (np.arange(8) - np.arange(8)[:, None])
+    forward = _within(np.sum(dq * dq, axis=3), a0, r_max_nm) & (step > 0)
+
+    plane = 8 * width * width
+    slab = min(cells, max(1, max(_RANK_MAP_SITES, 64 * n) // plane - pad))
+    rank = np.empty((slab + pad) * plane, dtype=np.int32)
+    lower, upper = [], []
+    for first in range(pad, pad + cells, slab):
+        base = first * plane
+        begin, middle, end = np.searchsorted(site, base + plane * np.array([0, slab, slab + pad]))
+        rank.fill(-1)
+        rank[site[begin:end] - base] = order[begin:end]
+        for b in range(len(_BASIS)):
+            own = begin + np.flatnonzero(basis[begin:middle] == b)
+            # one row per step, each a sweep over the sites in index order
+            partner = rank[step[:, b][forward[:, b], None] + (site[own] - base)].ravel()
+            hit = np.flatnonzero(partner >= 0)
+            lower.append(order[own[hit % len(own)]])
+            upper.append(partner[hit])
+    i, j = np.concatenate(lower), np.concatenate(upper).astype(np.intp)
+    code = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.stack((code // n, code % n), axis=1)

@@ -1,6 +1,10 @@
 """Ensemble averaging, seeding, and convergence bookkeeping."""
 
 import dataclasses
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from donorspin.bath import (
     generate_lattice,
     superhyperfine_j,
 )
-from donorspin.bath import echo, ensemble
+import donorspin.bath
+from donorspin.bath import couplings, echo, ensemble
 from donorspin.bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
 
 TIMES = tuple(np.linspace(0.0, 1.0, 21))
@@ -287,3 +292,66 @@ def test_nested_sides_match_builds_at_each_side(monkeypatch):
         assert np.array_equal(pooled.curves[key].amplitude, curve.amplitude)
         assert np.array_equal(pooled.curves[key].std_of_mean, curve.std_of_mean)
     assert pooled.distances == study.distances
+
+
+def test_builds_and_studies_never_call_the_generic_pair_search(monkeypatch):
+    params = _params(n_configs=2, seed=5)
+    sides = [2.8, 2.2, 3.3]
+    cutoffs = [THIRD_NN_FACTOR * 0.543, SECOND_NN_FACTOR * 0.543]
+    es = diagonalize(params.system, params.field_b)
+    s_a, s_b = expectation_sz(es, 11), expectation_sz(es, 10)
+    want = {(side, r_max): _oracle_curve(params, side, r_max, s_a, s_b)
+            for side in sides for r_max in cutoffs}
+    built = build_configuration(params, 1)
+    pairs = enumerate_pairs(built.positions, params.pair_cutoff_nm)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_pairs called")
+
+    for module in (couplings, donorspin.bath, ensemble):
+        monkeypatch.setattr(module, "enumerate_pairs", refuse, raising=False)
+    assert np.array_equal(build_configuration(params, 1).pair_indices, pairs)
+    for workers in (1, 2):
+        study = convergence_study(params, sides, cutoffs, workers=workers)
+        for key, curve in want.items():
+            assert np.array_equal(study.curves[key].amplitude, curve)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _sleeping_task(task):
+    time.sleep(0.1)
+    return {}
+
+
+def test_sigterm_reaches_the_callers_handler_once_the_pool_is_down(monkeypatch):
+    # 200 tasks of 0.1 s on 2 workers take 10 s; the signal comes at 0.3 s,
+    # through a thread that does not block it, and the caller's handler runs
+    # only after the pool has stopped, with its handler and mask restored
+    monkeypatch.setattr(ensemble, "_config_curves", _sleeping_task)
+
+    def stop(signum, frame):
+        files = []
+        while frame is not None:
+            files.append(frame.f_code.co_filename)
+            frame = frame.f_back
+        raise _Stop(files)
+
+    previous = signal.signal(signal.SIGTERM, stop)
+    timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGTERM))
+    try:
+        started = time.monotonic()
+        timer.start()
+        with pytest.raises(_Stop) as stopped:
+            convergence_study(_params(n_configs=200), [3.0], [0.4], workers=2)
+        assert time.monotonic() - started < 5.0
+        # no frame of the executor or of its locks was on the stack
+        files = stopped.value.args[0]
+        assert not any("concurrent" in f or f.endswith("threading.py") for f in files), files
+        assert signal.getsignal(signal.SIGTERM) is stop
+        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    finally:
+        timer.cancel()
+        signal.signal(signal.SIGTERM, previous)

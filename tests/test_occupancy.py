@@ -1,12 +1,29 @@
 """Counter-based random occupancy."""
 
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from donorspin.bath import LatticeSpec, generate_lattice, occupied_positions, occupy
-from donorspin.bath.occupancy import _DONOR_KEY, _chooser, _site_keys, in_cube
+from donorspin.bath import (
+    LatticeSpec,
+    enumerate_pairs,
+    generate_lattice,
+    occupied_positions,
+    occupy,
+)
+from donorspin.bath import occupancy
+from donorspin.bath.occupancy import (
+    _DONOR_KEY,
+    _chooser,
+    _lattice_pairs,
+    _site_keys,
+    in_cube,
+)
 
 A0 = 0.543
 
@@ -207,3 +224,70 @@ def test_integer_decision_equals_the_float_compare():
     assert np.array_equal(_chooser(1.0, seed)(keys), not_donor)
     assert np.sum(_chooser(np.nextafter(edge, 1.0), seed)(keys)) == (
         np.sum(_chooser(edge, seed)(keys)) + 1)
+
+
+def _shell_radii(a0_nm):
+    """The 2nd- and 3rd-neighbour radii, exact lattice distances."""
+    return [a0_nm * math.sqrt(2.0) / 2.0, a0_nm * math.sqrt(11.0) / 4.0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    cells=st.integers(2, 7),
+    a0_nm=st.sampled_from([A0, 0.5]),
+    abundance=st.sampled_from([0.0, 0.0467, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+    shuffle=st.none() | st.integers(0, 2**32 - 1),
+    map_sites=st.sampled_from([occupancy._RANK_MAP_SITES, 0]),
+)
+@example(cells=4, a0_nm=A0, abundance=1.0, seed=0, shuffle=None, map_sites=0)
+@example(cells=5, a0_nm=0.5, abundance=1.0, seed=0, shuffle=None, map_sites=0)
+@example(cells=7, a0_nm=A0, abundance=0.0467, seed=2024, shuffle=None, map_sites=0)
+@example(cells=6, a0_nm=0.5, abundance=0.0467, seed=1, shuffle=3, map_sites=1 << 22)
+def test_lattice_pairs_equal_enumerate_pairs(cells, a0_nm, abundance, seed, shuffle, map_sites):
+    # both cell parities; the shell radii are inclusive cutoffs, and 1.1 nm
+    # pads the cube by more than one cell. With no floor under the rank map,
+    # a sparse cube's sites are taken a slab of x-planes at a time
+    spec = LatticeSpec(side_nm=(cells + 0.5) * a0_nm, a0_nm=a0_nm)
+    assert spec.cells_per_axis == cells
+    pos = occupied_positions(spec, abundance, seed)
+    if shuffle is not None:
+        # any subset, in any order
+        rng = np.random.default_rng(shuffle)
+        pos = pos[rng.permutation(len(pos))[: len(pos) // 2]]
+    for r_max in [*_shell_radii(a0_nm), 0.3, 0.7, 1.1]:
+        want = enumerate_pairs(pos, r_max)
+        with mock.patch.object(occupancy, "_RANK_MAP_SITES", map_sites):
+            got = _lattice_pairs(pos, spec, r_max)
+        assert got.dtype == np.intp
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_rank_map_of_a_sparse_bath_does_not_grow_with_the_cube():
+    # 110 cells: one map of the padded cube would take 8 * 116^3 * 4 B = 50 MB
+    spec = LatticeSpec(side_nm=60.0)
+    pos = occupied_positions(spec, 0.001, seed=3)
+    r_max = _shell_radii(A0)[1]
+    tracemalloc.start()
+    try:
+        got = _lattice_pairs(pos, spec, r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * occupancy._RANK_MAP_SITES + 8e6
+    assert np.array_equal(got, enumerate_pairs(pos, r_max))
+
+
+def test_lattice_pairs_take_sites_of_their_cube_only():
+    spec = LatticeSpec(side_nm=3 * A0)
+    sites = generate_lattice(spec)
+    r_max = _shell_radii(A0)[1]
+    assert len(_lattice_pairs(sites, spec, r_max)) == len(enumerate_pairs(sites, r_max))
+    with pytest.raises(ValueError, match="sites of the cube"):
+        _lattice_pairs(sites + A0 / 8, spec, r_max)   # off the diamond lattice
+    with pytest.raises(ValueError, match="sites of the cube"):
+        _lattice_pairs(sites + 3 * A0, spec, r_max)   # outside the cube
+    with pytest.raises(ValueError, match="positive"):
+        _lattice_pairs(sites, spec, 0.0)
+    assert _lattice_pairs(sites[:1], spec, r_max).shape == (0, 2)
