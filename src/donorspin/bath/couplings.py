@@ -45,13 +45,9 @@ class KohnLuttingerModel:
     def k0_per_nm(self) -> float:
         return self.k0_factor * 2.0 * math.pi / self.a0_nm
 
-    def psi_squared(self, positions: np.ndarray) -> np.ndarray:
-        """|psi|^2 in nm^-3 at donor-relative positions (nm)."""
-        pos = np.atleast_2d(np.asarray(positions, dtype=float))
-        return self._psi_squared(pos, np.sum(pos * pos, axis=1))
-
     def _psi_squared(self, pos: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """psi_squared of (N, 3) positions whose squared radii r2 are known."""
+        """|psi|^2 in nm^-3 at (N, 3) donor-relative positions (nm) whose
+        squared radii r2 are known."""
         na = self.n_scale * self.radius_a_nm
         nb = self.n_scale * self.radius_b_nm
         norm = 1.0 / math.sqrt(math.pi * na * na * nb)
@@ -117,11 +113,6 @@ def dipolar_b(
     return float(out[0]) if np.ndim(pos_k) == 1 and np.ndim(pos_l) == 1 else out
 
 
-# (dx, dy) of the four rows of three z-adjacent cells that, with the rest of
-# a point's own cell and the cell above it in z, make the 13-cell half shell
-_HALF_SHELL_ROWS = np.array([(0, 1), (1, -1), (1, 0), (1, 1)], dtype=np.intp)
-
-
 def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
     """All index pairs with separation <= r_max, sorted, as a (P, 2) array.
 
@@ -136,15 +127,13 @@ def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
     order, dtype np.intp; any finite positions are allowed, coincident ones
     too.
 
-    Linked-cell search (Allen & Tildesley, Computer Simulation of Liquids,
-    sec. 5.3): points are binned into cubic cells at least as wide as the
-    search radius, so a pair lies in one cell or in two adjacent ones, and
-    each point is tested against the later points of its own cell and all
-    points of the 13 half-shell neighbour cells. Cells are numbered z
-    fastest, so three z-adjacent cells are one run of the sorted points and
-    the half shell is five runs per point. The edge grows until the cloud
-    spans at most 8 N cells, so the cell table stays O(N) for any cutoff
-    and extent.
+    Sorted sweep: with the points stably sorted by x, pass k tests each
+    point against the point k places after it, but only where dx^2 alone
+    is within the cutoff. The sweep is exact. Rounding is monotone, so the
+    computed x gaps never shrink from one pass to the next, and fl(dx^2)
+    <= d2, so no pair meets the rule unless its dx^2 does. It therefore
+    stops at the first pass with no candidate; a pass with candidates but
+    no hit does not end it, as a later pass can still hit.
     """
     if not r_max_nm > 0:
         raise ValueError("pair cutoff must be positive")
@@ -154,45 +143,18 @@ def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
         return np.empty((0, 2), dtype=np.intp)
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
-    cols = pos.T.copy()   # (3, N): x, y, z
     d2_max = r_max_nm * r_max_nm + PAIR_D2_TOL_NM2
-    # the relative widening keeps floor() round-off from putting a pair
-    # within the radius into non-adjacent cells
-    edge = math.sqrt(d2_max) * (1.0 + 1e-6)
-    low = cols.min(axis=1)
-    extent = cols.max(axis=1) - low
-    while np.prod(np.floor(extent / edge) + 1.0) > 8 * n:
-        edge *= 1.25
-    # one empty layer of cells on every face, so neighbour keys never wrap
-    shape = np.floor(extent / edge).astype(np.intp) + 3
-    cell = np.floor((cols - low[:, None]) / edge).astype(np.intp) + 1
-    key = (cell[0] * shape[1] + cell[1]) * shape[2] + cell[2]
-    order = np.argsort(key)
-    key = key[order]
-    # bounds[k]: first sorted point of cell k (and end of cell k - 1)
-    n_cells = int(np.prod(shape))
-    bounds = np.zeros(n_cells + 1, dtype=np.intp)
-    np.cumsum(np.bincount(key, minlength=n_cells), out=bounds[1:])
-
-    # candidate runs of sorted points: the later points of the own cell and
-    # the cell above it, then each row of three cells
-    rows = key + (_HALF_SHELL_ROWS @ np.array([shape[1], 1]) * shape[2])[:, None]
-    begin = np.empty((5, n), dtype=np.intp)
-    end = np.empty((5, n), dtype=np.intp)
-    begin[0] = np.arange(1, n + 1)
-    end[0] = bounds[key + 2]
-    begin[1:] = bounds[rows - 1]
-    end[1:] = bounds[rows + 2]
-    length = (end - begin).ravel()
-    run = np.flatnonzero(length)
-    length = length[run]
-    stop = np.cumsum(length)
-    owner = np.repeat(run % n, length)
-    partner = np.arange(len(owner)) + np.repeat(begin.ravel()[run] - stop + length, length)
-
-    x, y, z = cols[:, order]
-    dx, dy, dz = x[owner] - x[partner], y[owner] - y[partner], z[owner] - z[partner]
-    keep = dx * dx + dy * dy + dz * dz <= d2_max
-    i, j = order[owner[keep]], order[partner[keep]]
-    code = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    order = np.argsort(pos[:, 0], kind="stable")
+    x, y, z = pos[order].T
+    codes = [np.empty(0, dtype=np.intp)]
+    for k in range(1, n):
+        dx = x[k:] - x[:-k]
+        near = np.flatnonzero(dx * dx <= d2_max)
+        if len(near) == 0:
+            break
+        dx, dy, dz = dx[near], y[near + k] - y[near], z[near + k] - z[near]
+        hit = near[dx * dx + dy * dy + dz * dz <= d2_max]
+        i, j = order[hit], order[hit + k]
+        codes.append(np.minimum(i, j) * n + np.maximum(i, j))
+    code = np.sort(np.concatenate(codes))
     return np.stack((code // n, code % n), axis=1)

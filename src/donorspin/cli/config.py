@@ -128,7 +128,9 @@ def _cube_fits(side_nm: float, config) -> bool:
     return spec.cells_per_axis <= MAX_CELLS_PER_AXIS
 
 
-# largest resonances spectrum grid: about 80 MB per float64 array
+# largest array of any command, about 80 MB as float64: the resonances
+# spectrum grid, the levels and freqmap tables, and the cce curves of one
+# (side, shell) key, one per configuration
 MAX_SPECTRUM_POINTS = 10**7
 
 
@@ -181,6 +183,18 @@ RULES = (
      f"{{resonances[grid_step_mt]!r}} mT from {{resonances[b_min_t]!r}} to "
      f"{{resonances[b_max_t]!r}} T must give at most {MAX_SPECTRUM_POINTS:,} spectrum points",
      lambda c: spectrum_points(c["resonances"]) <= MAX_SPECTRUM_POINTS),
+    (f"levels.b_steps: {{levels[b_steps]}} fields of {{dimension}} levels must give at most "
+     f"{MAX_SPECTRUM_POINTS:,} table entries",
+     lambda c: c["levels"]["b_steps"] * spin_system(c).dimension <= MAX_SPECTRUM_POINTS),
+    # a donor of D levels has 2 D - 4 label pairs one m apart (four per step
+    # between its 2I doublets, two from each stretched state), counted here
+    # without the D x D matrix that spectra._adjacent_pairs builds
+    (f"freqmap.b_steps: {{freqmap[b_steps]}} fields of the donor's label pairs must give at "
+     f"most {MAX_SPECTRUM_POINTS:,} table entries",
+     lambda c: c["freqmap"]["b_steps"] * (2 * spin_system(c).dimension - 4) <= MAX_SPECTRUM_POINTS),
+    (f"cce.n_configs, cce.t_steps: {{cce[n_configs]}} configurations of {{cce[t_steps]}} time "
+     f"points must give at most {MAX_SPECTRUM_POINTS:,} curve points per echo",
+     lambda c: c["cce"]["n_configs"] * c["cce"]["t_steps"] <= MAX_SPECTRUM_POINTS),
     (f"cce.side_nm: {{cce[side_nm]!r}} nm must hold 2 to {MAX_CELLS_PER_AXIS} cells "
      "of cce.a0_nm per axis",
      lambda c: _cube_fits(c["cce"]["side_nm"], c)),

@@ -33,9 +33,10 @@ from donorspin.bath import (
 from donorspin.bath.ensemble import THIRD_NN_FACTOR
 from donorspin.bath.occupancy import MAX_CELLS_PER_AXIS
 from donorspin.cli import SCHEMA, ConfigError, default_config, load_config, render_config
-from donorspin.cli.config import MAX_SPECTRUM_POINTS, spectrum_points, validate
-from donorspin.cli.main import _CSV_BLOCK_CELLS, _write, main
+from donorspin.cli.config import MAX_SPECTRUM_POINTS, spectrum_points, spin_system, validate
+from donorspin.cli.main import _COMMANDS, _CSV_BLOCK_CELLS, _write, main
 from donorspin.cli.manifest import file_sha256
+from donorspin.spectra import _adjacent_pairs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -172,6 +173,69 @@ def test_spectrum_grid_at_its_limit_is_allowed():
     config["resonances"]["b_max_t"] = 0.49999995
     assert spectrum_points(config["resonances"]) == MAX_SPECTRUM_POINTS
     validate(config)
+
+
+# (section, keys set at the largest in-bound work size, key past it, its
+# rejected value) for the levels table of the 20-level Bi donor and the
+# echo curves held per key
+AT_THE_WORK_CAP = [
+    ("levels", {"b_steps": MAX_SPECTRUM_POINTS // 20}, "b_steps", MAX_SPECTRUM_POINTS // 20 + 1),
+    ("cce", {"n_configs": MAX_SPECTRUM_POINTS // 50, "t_steps": 50}, "n_configs",
+     MAX_SPECTRUM_POINTS // 50 + 1),
+    ("cce", {"n_configs": 20, "t_steps": MAX_SPECTRUM_POINTS // 20}, "t_steps",
+     MAX_SPECTRUM_POINTS // 20 + 1),
+]
+
+
+@pytest.mark.parametrize("section, at_cap, key, past", AT_THE_WORK_CAP)
+def test_work_size_at_its_cap_is_allowed_and_past_it_rejected(section, at_cap, key, past):
+    # validate only: the work these sizes draw is never started
+    config = default_config()
+    config[section].update(at_cap)
+    validate(config)
+    config[section][key] = past
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        validate(config)
+
+
+@pytest.mark.parametrize("nuclear_spin", [0.5, 1.5, 4.5, 10.5])
+def test_freqmap_cap_counts_the_label_pairs_one_m_apart(nuclear_spin):
+    config = default_config()
+    config["donor"].update(nuclear_spin=nuclear_spin, nuclear_zeeman_delta=0.0)
+    for section in ("rabi", "cce"):  # labels every donor has
+        config[section].update(label_upper=2, label_lower=1)
+    at_cap = MAX_SPECTRUM_POINTS // len(_adjacent_pairs(spin_system(config)))
+    config["freqmap"]["b_steps"] = at_cap
+    validate(config)
+    config["freqmap"]["b_steps"] = at_cap + 1
+    with pytest.raises(ConfigError, match="freqmap.b_steps"):
+        validate(config)
+
+
+# in-bound sizes that ran out of memory before they were capped: tables of
+# 7.28 TiB and 4.10 GiB, echo curves of 745 GiB, a task list of 10^9 configurations
+@pytest.mark.parametrize("command, section, key, value", [
+    ("levels", "levels", "b_steps", 10**12),
+    ("levels", "levels", "b_steps", 5 * 10**7),
+    ("freqmap", "freqmap", "b_steps", 10**12),
+    ("cce", "cce", "t_steps", 10**11),
+    ("cce", "cce", "n_configs", 10**9),
+    ("cce-converge", "cce", "n_configs", 10**9),
+])
+def test_work_size_past_its_cap_is_usage_error(tmp_path, capsys, monkeypatch, command, section,
+                                               key, value):
+    def refuse(config):
+        raise AssertionError(f"{command} started work of {section}.{key} = {value}")
+
+    monkeypatch.setitem(_COMMANDS, command, refuse)
+    cfg = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err
+    assert f"{MAX_SPECTRUM_POINTS:,}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_freqmap_zero_field_degeneracy(tmp_path):

@@ -168,6 +168,16 @@ def _clouds(draw):
 @example(pos=np.array([[0.0, 0.0, 0.0], [0.9999985, 0.0, 0.0], [1.9999985, 0.0, 0.0]]),
          r_max=1.0)  # a pair at the cutoff straddling two cell faces
 @example(pos=np.array([[0.0, 0.0, 0.0], [1e3, 1e3, 1e3]]), r_max=1e-3)  # 1e18 cells of r
+@example(pos=np.column_stack((np.full(40, 2.5), np.linspace(0.0, 3.0, 40),
+                              np.linspace(1.0, 0.0, 40))),
+         r_max=0.5)  # every point at one x: every pass of the sweep is a candidate
+@example(pos=np.array([[0.0, 0.0, 0.0], [0.1, 5.0, 0.0], [0.2, 0.0, 0.0]]),
+         r_max=0.3)  # a pass with candidates and no hit, then a pass that hits
+@example(pos=np.array([[0.0, 0.0, 0.0], [0.75, 0.0, 0.0], [1.5, 0.0, 0.0]]),
+         r_max=0.75)  # separations along x alone, exactly at the cutoff
+@example(pos=np.array([[1.0, 0.9, 0.2], [1.0, 0.1, 0.8], [1.0, 0.5, 0.5], [0.0, 0.3, 0.1],
+                       [1.0, 0.2, 0.9]]),
+         r_max=0.5)  # x ties with y and z out of order
 def test_enumerate_pairs_matches_brute_force_oracle(pos, r_max):
     pairs = enumerate_pairs(pos, r_max)
     assert pairs.dtype == np.intp
