@@ -1,6 +1,6 @@
 """Nuclear spin bath: lattice, occupancy, couplings, pair echoes, ensembles."""
 
-from .couplings import KohnLuttingerModel, dipolar_b, enumerate_pairs, superhyperfine_j
+from .couplings import KohnLuttingerModel, dipolar_b, superhyperfine_j
 from .echo import EchoCurve, cce2_echo, pair_echo
 from .ensemble import (
     PAIR_SHELLS,
@@ -12,8 +12,8 @@ from .ensemble import (
     convergence_study,
     ensemble_echo,
 )
-from .lattice import LatticeSpec, generate_lattice
-from .occupancy import BathConfiguration, occupied_positions, occupy
+from .lattice import LatticeSpec
+from .occupancy import BathConfiguration, occupied_positions
 
 __all__ = [
     "BathConfiguration",
@@ -30,10 +30,7 @@ __all__ = [
     "convergence_study",
     "dipolar_b",
     "ensemble_echo",
-    "enumerate_pairs",
-    "generate_lattice",
     "occupied_positions",
-    "occupy",
     "pair_echo",
     "superhyperfine_j",
 ]

@@ -15,8 +15,6 @@ import numpy as np
 
 from ..constants import CONSTANTS, BI_G_FACTOR, SI_LATTICE_NM
 
-PAIR_D2_TOL_NM2 = 1e-9  # squared-distance slack when classifying shells
-
 
 @dataclasses.dataclass(frozen=True)
 class KohnLuttingerModel:
@@ -111,50 +109,3 @@ def dipolar_b(
     scale = 1e-7 * gamma_hz * gamma_hz * CONSTANTS.planck_h / 1e-27 / 1e6
     out = -scale * (1.0 - 3.0 * cos_theta * cos_theta) / r**3
     return float(out[0]) if np.ndim(pos_k) == 1 and np.ndim(pos_l) == 1 else out
-
-
-def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
-    """All index pairs with separation <= r_max, sorted, as a (P, 2) array.
-
-    The generic search, for any point set. Bath builds find their pairs
-    on the lattice their sites come from (`occupancy._lattice_pairs`);
-    this search is the reference that one is tested against.
-
-    Membership is d2 <= r_max^2 + PAIR_D2_TOL_NM2 on the squared distance,
-    so shell-radius cutoffs (exact lattice distances) are inclusive, and
-    filtering the pairs of a larger cutoff by the same rule gives exactly
-    the pairs of a smaller one. Rows are (i, j) with i < j in lexicographic
-    order, dtype np.intp; any finite positions are allowed, coincident ones
-    too.
-
-    Sorted sweep: with the points stably sorted by x, pass k tests each
-    point against the point k places after it, but only where dx^2 alone
-    is within the cutoff. The sweep is exact. Rounding is monotone, so the
-    computed x gaps never shrink from one pass to the next, and fl(dx^2)
-    <= d2, so no pair meets the rule unless its dx^2 does. It therefore
-    stops at the first pass with no candidate; a pass with candidates but
-    no hit does not end it, as a later pass can still hit.
-    """
-    if not r_max_nm > 0:
-        raise ValueError("pair cutoff must be positive")
-    pos = np.asarray(positions, dtype=float)
-    n = len(pos)
-    if n < 2:
-        return np.empty((0, 2), dtype=np.intp)
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("positions must be finite")
-    d2_max = r_max_nm * r_max_nm + PAIR_D2_TOL_NM2
-    order = np.argsort(pos[:, 0], kind="stable")
-    x, y, z = pos[order].T
-    codes = [np.empty(0, dtype=np.intp)]
-    for k in range(1, n):
-        dx = x[k:] - x[:-k]
-        near = np.flatnonzero(dx * dx <= d2_max)
-        if len(near) == 0:
-            break
-        dx, dy, dz = dx[near], y[near + k] - y[near], z[near + k] - z[near]
-        hit = near[dx * dx + dy * dy + dz * dz <= d2_max]
-        i, j = order[hit], order[hit + k]
-        codes.append(np.minimum(i, j) * n + np.maximum(i, j))
-    code = np.sort(np.concatenate(codes))
-    return np.stack((code // n, code % n), axis=1)

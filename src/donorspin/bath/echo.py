@@ -178,8 +178,6 @@ def _pair_products(
 ) -> np.ndarray:
     """(M, T) products of the configuration's pair echoes over each (P,) pair
     mask, by default the one mask of all pairs; J is gathered by pair."""
-    if config.couplings_j is None or config.pair_indices is None or config.pair_b is None:
-        raise ValueError("configuration lacks couplings; build it with build_configuration")
     j = config.couplings_j[config.pair_indices]
     if masks is None:
         masks = np.ones((1, len(j)), dtype=bool)
@@ -196,9 +194,8 @@ def cce2_echo(
     """Total echo, the product of the pair echoes, for one bath configuration.
 
     s_a, s_b are the <Sz> values of the two donor levels of the probed
-    transition; f_z_mhz drops out exactly, as in pair_echo. The
-    configuration must carry couplings and pairs; with no pairs the echo
-    is exactly 1.
+    transition; f_z_mhz drops out exactly, as in pair_echo. With no
+    pairs the echo is exactly 1.
     """
     times = np.asarray(times_ms, dtype=float)
     return EchoCurve(times_ms=times, amplitude=_pair_products(config, s_a, s_b, times)[0])

@@ -76,8 +76,7 @@ def build_configuration(params: CceParams, config_index: int) -> BathConfigurati
     """Bath placement number config_index (seeded seed + index), fully coupled:
     its occupied sites, their J, the pairs within params.pair_cutoff_nm and
     their dipolar b. The pairs come from the lattice the sites were drawn
-    from (`_lattice_pairs`); they are exactly `enumerate_pairs` of the
-    positions."""
+    from (`_lattice_pairs`)."""
     seed = params.seed + config_index
     pos = occupied_positions(params.lattice, params.abundance, seed)
     pairs = _lattice_pairs(pos, params.lattice, params.pair_cutoff_nm)

@@ -1,4 +1,4 @@
-"""Diamond-cubic site generation around a central donor."""
+"""The cube of diamond-cubic silicon around a central donor."""
 
 from __future__ import annotations
 
@@ -7,20 +7,6 @@ import dataclasses
 import numpy as np
 
 from ..constants import SI_LATTICE_NM
-
-# 8-atom basis of the conventional diamond-cubic cell, in units of a0
-_BASIS = np.array(
-    [
-        [0.00, 0.00, 0.00],
-        [0.00, 0.50, 0.50],
-        [0.50, 0.00, 0.50],
-        [0.50, 0.50, 0.00],
-        [0.25, 0.25, 0.25],
-        [0.25, 0.75, 0.75],
-        [0.75, 0.25, 0.75],
-        [0.75, 0.75, 0.25],
-    ]
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,22 +37,3 @@ class LatticeSpec:
     def site_count(self) -> int:
         return 8 * self.cells_per_axis**3
 
-
-def generate_lattice(spec: LatticeSpec) -> np.ndarray:
-    """All lattice sites of the cube, donor-relative, in nm.
-
-    Returns an (N, 3) array with N = 8 * floor(side/a0)^3; the donor site
-    itself is included and sits exactly at the origin. Site order is
-    deterministic (cell-major, basis-minor).
-    """
-    n = spec.cells_per_axis
-    cells = np.indices((n, n, n)).reshape(3, -1).T  # (n^3, 3) integer cell origins
-    sites = (cells[:, None, :] + _BASIS[None, :, :]).reshape(-1, 3)
-
-    center = np.full(3, n / 2.0)
-    d2 = np.sum((sites - center) ** 2, axis=1)
-    nearest = np.flatnonzero(d2 <= d2.min() + 1e-12)
-    order = np.lexsort((sites[nearest, 2], sites[nearest, 1], sites[nearest, 0]))
-    donor = sites[nearest[order[0]]]
-
-    return (sites - donor) * spec.a0_nm

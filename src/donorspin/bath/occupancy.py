@@ -12,12 +12,11 @@ sublattice of the diamond lattice, so across parity only the sites on the
 donor's own sublattice recur; the other sublattice's donor-relative
 positions of the two cubes are disjoint.
 
-`occupied_positions` draws the same decisions straight from the integer
+`occupied_positions` draws the decisions straight from the integer
 lattice, one x-plane of cells at a time, and keeps only the occupied
-sites; `occupy` applies them to an explicit site array and is the
-reference it is tested against. `in_cube` selects a smaller cube of the
-same parity from a larger cube's sites. `_lattice_pairs` finds a
-placement's pairs on the same integer layout, by a diamond-site stencil.
+sites. `in_cube` selects a smaller cube of the same parity from a larger
+cube's sites. `_lattice_pairs` finds a placement's pairs on the same
+integer layout, by a diamond-site stencil.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from ..constants import SI29_ABUNDANCE, SI_LATTICE_NM
-from .couplings import PAIR_D2_TOL_NM2
-from .lattice import _BASIS, LatticeSpec
+from ..constants import SI29_ABUNDANCE
+from .lattice import LatticeSpec
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -39,34 +37,34 @@ _COORD_OFFSET = np.int64(1 << 20)  # shifts quarter-grid coordinates positive
 # the largest cube whose sites, at most 2n quarter steps from the donor
 # along any axis, all stay below _COORD_OFFSET
 MAX_CELLS_PER_AXIS = int(_COORD_OFFSET - 1) // 2
-_BASIS_QUARTERS = np.rint(4 * _BASIS).astype(np.int64)
+# 8-atom basis of the conventional diamond-cubic cell, in quarters of a0
+_BASIS_QUARTERS = np.array(
+    [[0, 0, 0], [0, 2, 2], [2, 0, 2], [2, 2, 0], [1, 1, 1], [1, 3, 3], [3, 1, 3], [3, 3, 1]],
+    dtype=np.int64,
+)
 # basis index of a site from its quarter coordinates mod 4, packed 16x + 4y + z;
 # -1 where no diamond site sits
 _BASIS_INDEX = np.full(64, -1, dtype=np.intp)
-_BASIS_INDEX[_BASIS_QUARTERS @ np.array([16, 4, 1])] = np.arange(len(_BASIS))
+_BASIS_INDEX[_BASIS_QUARTERS @ np.array([16, 4, 1])] = np.arange(len(_BASIS_QUARTERS))
 # sites a pair search's rank map may hold whatever the spin count (16 MB)
 _RANK_MAP_SITES = 1 << 22
 
 
 @dataclasses.dataclass(frozen=True)
 class BathConfiguration:
-    """One random placement of bath spins, donor-relative positions in nm.
-
-    couplings_j and pairs are filled in by the coupling step; a freshly
-    occupied configuration carries sites only.
-    """
+    """One random placement of bath spins, coupled: donor-relative
+    positions in nm, their contact couplings J, and the pairs with their
+    dipolar b."""
 
     seed: int
-    positions: np.ndarray                       # (N, 3) nm
-    couplings_j: np.ndarray | None = None       # (N,) MHz
-    pair_indices: np.ndarray | None = None      # (P, 2) indices into positions
-    pair_b: np.ndarray | None = None            # (P,) MHz
+    positions: np.ndarray       # (N, 3) nm
+    couplings_j: np.ndarray     # (N,) MHz
+    pair_indices: np.ndarray    # (P, 2) indices into positions
+    pair_b: np.ndarray          # (P,) MHz
 
     def __post_init__(self):
-        self.positions.setflags(write=False)
-        for arr in (self.couplings_j, self.pair_indices, self.pair_b):
-            if arr is not None:
-                arr.setflags(write=False)
+        for arr in (self.positions, self.couplings_j, self.pair_indices, self.pair_b):
+            arr.setflags(write=False)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -94,11 +92,6 @@ _DONOR_KEY = _pack_keys(np.zeros((1, 3), dtype=np.int64))[0]
 def _quarters(positions: np.ndarray, a0_nm: float) -> np.ndarray:
     """(N, 3) integer quarter-grid coordinates of donor-relative positions (nm)."""
     return np.rint(positions * (4.0 / a0_nm)).astype(np.int64)
-
-
-def _site_keys(positions: np.ndarray, a0_nm: float) -> np.ndarray:
-    """Canonical uint64 index per site from donor-relative positions (nm)."""
-    return _pack_keys(_quarters(positions, a0_nm))
 
 
 def _donor_offset(cells: int) -> int:
@@ -146,33 +139,16 @@ def _chooser(abundance: float, seed: int) -> Callable[[np.ndarray], np.ndarray]:
     return chosen
 
 
-def occupy(
-    sites: np.ndarray,
-    abundance: float = SI29_ABUNDANCE,
-    seed: int = 0,
-    a0_nm: float = SI_LATTICE_NM,
-) -> BathConfiguration:
-    """Independent per-site occupation with the given probability.
-
-    The donor site (the origin) is never occupied. Bit-exact across
-    platforms: decisions use integer hashing only.
-    """
-    sites = np.asarray(sites, dtype=float)
-    chosen = _chooser(abundance, seed)(_site_keys(sites, a0_nm))
-    return BathConfiguration(seed=seed, positions=sites[chosen].copy())
-
-
 def occupied_positions(
     spec: LatticeSpec, abundance: float = SI29_ABUNDANCE, seed: int = 0
 ) -> np.ndarray:
     """Donor-relative positions (nm) of the occupied sites of the cube.
 
-    Bit for bit `occupy(generate_lattice(spec), abundance, seed,
-    spec.a0_nm).positions`: the same sites in the same cell-major,
-    basis-minor order, without the full site array. The cube is walked
-    one x-plane of cells at a time on integer quarter-grid coordinates;
-    a plane's keys are the first plane's plus 4 per cell step in x, since
-    x fills the low bits of the key and never carries.
+    Sites come in cell-major, basis-minor order, and the full site array
+    is never built: the cube is walked one x-plane of cells at a time on
+    integer quarter-grid coordinates. A plane's keys are the first plane's
+    plus 4 per cell step in x, since x fills the low bits of the key and
+    never carries.
     """
     chosen = _chooser(abundance, seed)
     n = spec.cells_per_axis
@@ -190,6 +166,9 @@ def occupied_positions(
     return np.concatenate(chunks) * (spec.a0_nm / 4.0)
 
 
+PAIR_D2_TOL_NM2 = 1e-9  # squared-distance slack when classifying shells
+
+
 def _within(k: np.ndarray, a0_nm: float, r_max_nm: float) -> np.ndarray:
     """Whether lattice offsets of squared length k (quarter steps squared)
     lie within r_max: k (a0/4)^2 <= r_max^2 + PAIR_D2_TOL_NM2.
@@ -201,8 +180,8 @@ def _within(k: np.ndarray, a0_nm: float, r_max_nm: float) -> np.ndarray:
 
 
 def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) -> np.ndarray:
-    """All index pairs of spec's cube sites within r_max, as `enumerate_pairs`
-    returns them: rows (i, j) with i < j in lexicographic order, dtype np.intp.
+    """All index pairs of spec's cube sites within r_max: rows (i, j) with
+    i < j in lexicographic order, dtype np.intp.
 
     positions are donor-relative sites of the cube (nm), any subset in any
     order. Each site gets an index on the cube padded by m = ceil(r/a0) + 1
@@ -253,7 +232,7 @@ def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) ->
         begin, middle, end = np.searchsorted(site, base + plane * np.array([0, slab, slab + pad]))
         rank.fill(-1)
         rank[site[begin:end] - base] = order[begin:end]
-        for b in range(len(_BASIS)):
+        for b in range(len(_BASIS_QUARTERS)):
             own = begin + np.flatnonzero(basis[begin:middle] == b)
             # one row per step, each a sweep over the sites in index order
             partner = rank[step[:, b][forward[:, b], None] + (site[own] - base)].ravel()

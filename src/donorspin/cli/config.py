@@ -15,7 +15,6 @@ import math
 from typing import Any
 
 from ..bath import PAIR_SHELLS, LatticeSpec
-from ..bath.occupancy import MAX_CELLS_PER_AXIS
 from ..constants import (
     BI_G_FACTOR,
     BI_HYPERFINE_MHZ,
@@ -118,20 +117,56 @@ def spin_system(config) -> SpinSystem:
     return SpinSystem(electron_spin=0.5, **config["donor"])
 
 
-def _cube_fits(side_nm: float, config) -> bool:
-    """Whether the cube holds 2 cells of cce.a0_nm per axis, and no more
-    than the occupancy's site key can address."""
-    try:
-        spec = LatticeSpec(side_nm=side_nm, a0_nm=config["cce"]["a0_nm"])
-    except ValueError:
-        return False
-    return spec.cells_per_axis <= MAX_CELLS_PER_AXIS
-
-
 # largest array of any command, about 80 MB as float64: the resonances
-# spectrum grid, the levels and freqmap tables, and the cce curves of one
-# (side, shell) key, one per configuration
+# spectrum grid, the levels and freqmap tables, the cce curves of one
+# (side, shell) key, one per configuration, and a bath cube's first x-plane
+# of sites and its expected spins
 MAX_SPECTRUM_POINTS = 10**7
+
+
+def _cube_fits(side_nm: float, config) -> bool:
+    """Whether the cube holds 2 cells of cce.a0_nm per axis, and its
+    occupancy stays within MAX_SPECTRUM_POINTS for n cells per axis: the
+    first x-plane of 8 n^2 sites, and 8 n^3 cce.abundance expected spins.
+
+    These bound the cube well inside the occupancy's site key
+    (`occupancy.MAX_CELLS_PER_AXIS`).
+    """
+    cce = config["cce"]
+    try:
+        n = LatticeSpec(side_nm=side_nm, a0_nm=cce["a0_nm"]).cells_per_axis
+    except (ValueError, OverflowError):  # an infinite cell count overflows int()
+        return False
+    return 8 * n * n <= MAX_SPECTRUM_POINTS and 8 * n**3 * cce["abundance"] <= MAX_SPECTRUM_POINTS
+
+
+def _levels_finite(config, field_t: float) -> bool:
+    """Whether the field in mT and every level of the donor at field_t
+    (tesla), with any gap between two, are finite.
+
+    By arithmetic on the Zeeman frequency f0, without a level table:
+    |Delta_m| + |Omega_m| + |eps_m| bounds each level, and with |m| <= I + 1/2
+    that is at most (|f0| (1 + |delta|) + A) (I + 3/2); a gap is at most twice it.
+    """
+    donor = config["donor"]
+    f0 = spin_system(config).zeeman_mhz(field_t)
+    scale = (f0 * (1.0 + abs(donor["nuclear_zeeman_delta"])) + donor["hyperfine_mhz"]) * (
+        donor["nuclear_spin"] + 1.5)
+    return math.isfinite(field_t * 1e3) and math.isfinite(2.0 * scale)
+
+
+def _quartic_finite(config) -> bool:
+    """Whether every coefficient of the resonance quartics is finite.
+
+    By arithmetic on the terms `spectra._resonance_roots` builds them
+    from: with |L| <= u = 2 f / A + 2 |delta| for the linear L(y) and
+    s = 1 + |delta| + u + I + 1/2, each coefficient is at most 72 s^4.
+    """
+    donor = config["donor"]
+    nz = abs(donor["nuclear_zeeman_delta"])
+    u = 2.0 * config["resonances"]["frequency_mhz"] / donor["hyperfine_mhz"] + 2.0 * nz
+    s = 1.0 + nz + u + donor["nuclear_spin"] + 0.5
+    return math.isfinite(72.0 * s * s * s * s)
 
 
 def spectrum_points(section) -> float:
@@ -177,6 +212,16 @@ RULES = (
      lambda c: c["levels"]["b_max_t"] >= c["levels"]["b_min_t"]),
     ("freqmap.b_max_t: must be at least freqmap.b_min_t",
      lambda c: c["freqmap"]["b_max_t"] >= c["freqmap"]["b_min_t"]),
+    ("levels.b_max_t: at {levels[b_max_t]!r} T the field in mT and the levels of the donor "
+     "(donor.g_factor, donor.hyperfine_mhz) must be finite",
+     lambda c: _levels_finite(c, c["levels"]["b_max_t"])),
+    ("freqmap.b_max_t: at {freqmap[b_max_t]!r} T the field in mT and the levels of the donor "
+     "(donor.g_factor, donor.hyperfine_mhz) must be finite",
+     lambda c: _levels_finite(c, c["freqmap"]["b_max_t"])),
+    ("resonances.frequency_mhz: {resonances[frequency_mhz]!r} MHz against "
+     "donor.hyperfine_mhz = {donor[hyperfine_mhz]!r} must keep the resonance polynomials' "
+     "coefficients finite",
+     _quartic_finite),
     ("resonances.b_max_t: must be above resonances.b_min_t",
      lambda c: c["resonances"]["b_max_t"] > c["resonances"]["b_min_t"]),
     (f"resonances.grid_step_mt, resonances.b_min_t, resonances.b_max_t: a step of "
@@ -188,18 +233,20 @@ RULES = (
      lambda c: c["levels"]["b_steps"] * spin_system(c).dimension <= MAX_SPECTRUM_POINTS),
     # a donor of D levels has 2 D - 4 label pairs one m apart (four per step
     # between its 2I doublets, two from each stretched state), counted here
-    # without the D x D matrix that spectra._adjacent_pairs builds
+    # without listing them as spectra._adjacent_pairs does
     (f"freqmap.b_steps: {{freqmap[b_steps]}} fields of the donor's label pairs must give at "
      f"most {MAX_SPECTRUM_POINTS:,} table entries",
      lambda c: c["freqmap"]["b_steps"] * (2 * spin_system(c).dimension - 4) <= MAX_SPECTRUM_POINTS),
     (f"cce.n_configs, cce.t_steps: {{cce[n_configs]}} configurations of {{cce[t_steps]}} time "
      f"points must give at most {MAX_SPECTRUM_POINTS:,} curve points per echo",
      lambda c: c["cce"]["n_configs"] * c["cce"]["t_steps"] <= MAX_SPECTRUM_POINTS),
-    (f"cce.side_nm: {{cce[side_nm]!r}} nm must hold 2 to {MAX_CELLS_PER_AXIS} cells "
-     "of cce.a0_nm per axis",
+    (f"cce.side_nm: {{cce[side_nm]!r}} nm must hold at least 2 cells of cce.a0_nm per axis; "
+     f"with n of them, 8 n^2 sites per x-plane and 8 n^3 cce.abundance expected spins must "
+     f"each stay at most {MAX_SPECTRUM_POINTS:,}",
      lambda c: _cube_fits(c["cce"]["side_nm"], c)),
-    (f"converge.sides_nm: every side must hold 2 to {MAX_CELLS_PER_AXIS} cells of "
-     "cce.a0_nm per axis",
+    (f"converge.sides_nm: every side must hold at least 2 cells of cce.a0_nm per axis; with "
+     f"n of them, 8 n^2 sites per x-plane and 8 n^3 cce.abundance expected spins must each "
+     f"stay at most {MAX_SPECTRUM_POINTS:,}",
      lambda c: all(_cube_fits(side, c) for side in c["converge"]["sides_nm"])),
     # two entries that name one echo CSV would overwrite each other's output
     ("converge.sides_nm: the sides {converge[sides_nm]!r} must each write their own echo "

@@ -92,9 +92,20 @@ def df_db(sys: SpinSystem, label_i: int, label_j: int, b_field: float) -> float:
 
 
 def _adjacent_pairs(sys: SpinSystem) -> np.ndarray:
-    """(P, 2) label pairs i < j, row-major, whose doublets differ by one m."""
+    """(P, 2) label pairs i < j, row-major, whose doublets differ by one m.
+
+    O(D): with the labels sorted by m, each label's partners at m + 1 are
+    one run of that order, found by two binary searches.
+    """
     m, _ = label_structure(sys)
-    return np.argwhere(np.triu(np.abs(m[:, None] - m[None, :]) == 1.0)) + 1
+    order = np.argsort(m, kind="stable")
+    first, last = (np.searchsorted(m[order], m + 1.0, side=side) for side in ("left", "right"))
+    count = last - first
+    lower = np.repeat(np.arange(len(m)), count)
+    # each pair's place in the sorted order: its run's first plus its rank in the run
+    upper = order[np.arange(len(lower)) + np.repeat(first - np.cumsum(count) + count, count)]
+    code = np.sort(np.minimum(lower, upper) * len(m) + np.maximum(lower, upper))
+    return np.stack((code // len(m), code % len(m)), axis=1) + 1
 
 
 def _convolve_rows(u, v) -> list:

@@ -1,0 +1,130 @@
+"""Brute-force bath references that the production path is tested against.
+
+Builds draw their sites from the integer lattice one x-plane at a time
+(`occupancy.occupied_positions`) and find their pairs with a stencil on
+that lattice (`occupancy._lattice_pairs`). The functions here do the
+same work the plain way, on an explicit array of every site of the cube:
+`generate_lattice` lists the sites, `occupy` applies the per-site coin
+flips to them, and `enumerate_pairs` finds the pairs of any point set.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from donorspin.bath import LatticeSpec
+from donorspin.bath.occupancy import PAIR_D2_TOL_NM2, _chooser, _pack_keys, _quarters
+from donorspin.constants import SI29_ABUNDANCE, SI_LATTICE_NM
+
+# 8-atom basis of the conventional diamond-cubic cell, in units of a0
+_BASIS = np.array(
+    [
+        [0.00, 0.00, 0.00],
+        [0.00, 0.50, 0.50],
+        [0.50, 0.00, 0.50],
+        [0.50, 0.50, 0.00],
+        [0.25, 0.25, 0.25],
+        [0.25, 0.75, 0.75],
+        [0.75, 0.25, 0.75],
+        [0.75, 0.75, 0.25],
+    ]
+)
+
+
+def generate_lattice(spec: LatticeSpec) -> np.ndarray:
+    """All lattice sites of the cube, donor-relative, in nm.
+
+    Returns an (N, 3) array with N = 8 * floor(side/a0)^3; the donor site
+    itself is included and sits exactly at the origin. Site order is
+    deterministic (cell-major, basis-minor).
+    """
+    n = spec.cells_per_axis
+    cells = np.indices((n, n, n)).reshape(3, -1).T  # (n^3, 3) integer cell origins
+    sites = (cells[:, None, :] + _BASIS[None, :, :]).reshape(-1, 3)
+
+    center = np.full(3, n / 2.0)
+    d2 = np.sum((sites - center) ** 2, axis=1)
+    nearest = np.flatnonzero(d2 <= d2.min() + 1e-12)
+    order = np.lexsort((sites[nearest, 2], sites[nearest, 1], sites[nearest, 0]))
+    donor = sites[nearest[order[0]]]
+
+    return (sites - donor) * spec.a0_nm
+
+
+def _site_keys(positions: np.ndarray, a0_nm: float) -> np.ndarray:
+    """Canonical uint64 index per site from donor-relative positions (nm)."""
+    return _pack_keys(_quarters(positions, a0_nm))
+
+
+class Occupied(NamedTuple):
+    """The occupied sites of one placement, read-only, donor-relative in nm."""
+
+    seed: int
+    positions: np.ndarray   # (N, 3) nm
+
+
+def occupy(
+    sites: np.ndarray,
+    abundance: float = SI29_ABUNDANCE,
+    seed: int = 0,
+    a0_nm: float = SI_LATTICE_NM,
+) -> Occupied:
+    """Independent per-site occupation with the given probability.
+
+    The donor site (the origin) is never occupied. Bit-exact across
+    platforms: decisions use integer hashing only.
+    """
+    sites = np.asarray(sites, dtype=float)
+    chosen = _chooser(abundance, seed)(_site_keys(sites, a0_nm))
+    positions = sites[chosen]
+    positions.setflags(write=False)
+    return Occupied(seed=seed, positions=positions)
+
+
+def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
+    """All index pairs with separation <= r_max, sorted, as a (P, 2) array.
+
+    The generic search, for any point set. Bath builds find their pairs
+    on the lattice their sites come from (`occupancy._lattice_pairs`);
+    this search is the reference that one is tested against.
+
+    Membership is d2 <= r_max^2 + PAIR_D2_TOL_NM2 on the squared distance,
+    so shell-radius cutoffs (exact lattice distances) are inclusive, and
+    filtering the pairs of a larger cutoff by the same rule gives exactly
+    the pairs of a smaller one. Rows are (i, j) with i < j in lexicographic
+    order, dtype np.intp; any finite positions are allowed, coincident ones
+    too.
+
+    Sorted sweep: with the points stably sorted by x, pass k tests each
+    point against the point k places after it, but only where dx^2 alone
+    is within the cutoff. The sweep is exact. Rounding is monotone, so the
+    computed x gaps never shrink from one pass to the next, and fl(dx^2)
+    <= d2, so no pair meets the rule unless its dx^2 does. It therefore
+    stops at the first pass with no candidate; a pass with candidates but
+    no hit does not end it, as a later pass can still hit.
+    """
+    if not r_max_nm > 0:
+        raise ValueError("pair cutoff must be positive")
+    pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("positions must be finite")
+    d2_max = r_max_nm * r_max_nm + PAIR_D2_TOL_NM2
+    order = np.argsort(pos[:, 0], kind="stable")
+    x, y, z = pos[order].T
+    codes = [np.empty(0, dtype=np.intp)]
+    for k in range(1, n):
+        dx = x[k:] - x[:-k]
+        near = np.flatnonzero(dx * dx <= d2_max)
+        if len(near) == 0:
+            break
+        dx, dy, dz = dx[near], y[near + k] - y[near], z[near + k] - z[near]
+        hit = near[dx * dx + dy * dy + dz * dz <= d2_max]
+        i, j = order[hit], order[hit + k]
+        codes.append(np.minimum(i, j) * n + np.maximum(i, j))
+    code = np.sort(np.concatenate(codes))
+    return np.stack((code // n, code % n), axis=1)

@@ -778,14 +778,66 @@ def test_cube_past_the_site_key_is_usage_error(tmp_path, capsys, command, text, 
     assert not out.exists()
 
 
-def test_largest_cube_is_the_site_key_limit():
+def test_largest_cube_is_the_occupancy_work_limit():
+    # validate only: the work these cubes draw is never started. 1118 cells
+    # hold 9,999,392 sites per x-plane, the most an empty bath may have; a
+    # full one is held to 107 cells (9,800,344 spins), and natural abundance
+    # to 299 cells (9.98e6 expected spins)
     config = default_config()
     a0 = config["cce"]["a0_nm"]
-    config["cce"]["side_nm"] = MAX_CELLS_PER_AXIS * a0
-    validate(config)
-    config["cce"]["side_nm"] = (MAX_CELLS_PER_AXIS + 1) * a0
-    with pytest.raises(ConfigError, match="cce.side_nm"):
+    for abundance, cells in [(0.0, 1118), (1.0, 107), (config["cce"]["abundance"], 299)]:
+        assert cells < MAX_CELLS_PER_AXIS
+        config["cce"].update(abundance=abundance, side_nm=cells * a0)
         validate(config)
+        config["cce"]["side_nm"] = (cells + 1) * a0
+        with pytest.raises(ConfigError, match="cce.side_nm"):
+            validate(config)
+
+
+# one run of every extreme row the config rules and the O(D) pair listing
+# mend: (command, config, exit code, key an exit 2 names). Field keys at
+# 1e306 T: levels and freqmap are rejected, rabi and cce write their
+# finite high-field limit
+EXTREME_ROWS = [
+    ("levels", "[levels]\nb_max_t = 1e306\n", 2, "levels.b_max_t"),
+    ("freqmap", "[freqmap]\nb_max_t = 1e306\n", 2, "freqmap.b_max_t"),
+    ("rabi", "[rabi]\nfield_t = 1e306\n", 0, None),
+    ("cce", "[cce]\nfield_t = 1e306\nside_nm = 3.0\nn_configs = 2\nt_steps = 6\nfit = false\n",
+     0, None),
+    ("resonances", "[resonances]\nfrequency_mhz = 1e300\n", 2, "resonances.frequency_mhz"),
+    ("cce", "[cce]\nside_nm = 1e4\n", 2, "cce.side_nm"),
+    ("cce", "[cce]\nside_nm = 1e3\n", 2, "cce.side_nm"),
+    ("cce", "[cce]\nside_nm = 1e300\na0_nm = 1e-300\n", 2, "cce.side_nm"),
+    ("cce-converge", "[converge]\nsides_nm = 3.0 1e3\n", 2, "converge.sides_nm"),
+    # D = 40,000 levels: 79,996 label pairs one m apart, listed in O(D)
+    ("resonances", "[donor]\nnuclear_spin = 9999.5\nnuclear_zeeman_delta = 0\n", 0, None),
+    ("freqmap", "[donor]\nnuclear_spin = 9999.5\nnuclear_zeeman_delta = 0\n"
+     "[freqmap]\nb_steps = 2\n", 0, None),
+]
+
+
+@pytest.mark.parametrize("command, text, code, key", EXTREME_ROWS)
+def test_extreme_rows_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch, command, text,
+                                                  code, key):
+    if code == 2:
+        def refuse(config):
+            raise AssertionError(f"{command} started work that its config rules should stop")
+
+        monkeypatch.setitem(_COMMANDS, command, refuse)
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    got = run_cli(command, "--config", cfg, "--out", str(out))
+    err = capsys.readouterr().err
+    assert got in (0, 1, 2) and got == code
+    assert "Traceback" not in err
+    if got == 2:
+        assert key in err
+        assert not out.exists()
+    if got == 0:
+        for csv_path in out.glob("*.csv"):
+            with open(csv_path) as fh:
+                cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
+            assert all(math.isfinite(float(cell)) for cell in cells)
 
 
 @pytest.mark.parametrize("command", ["levels", "freqmap"])

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bath_reference import enumerate_pairs, generate_lattice
+
 from donorspin.bath import (
     KohnLuttingerModel,
     LatticeSpec,
     dipolar_b,
-    enumerate_pairs,
-    generate_lattice,
     superhyperfine_j,
 )
 

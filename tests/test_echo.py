@@ -162,9 +162,9 @@ def test_cce2_product_structure():
 
 
 def test_cce2_empty_and_unbuilt_configs():
-    unbuilt = BathConfiguration(seed=0, positions=np.empty((0, 3)))
-    with pytest.raises(ValueError):
-        cce2_echo(unbuilt, 0.29, -0.21, TIMES)
+    # a configuration is always coupled: it cannot be made from sites alone
+    with pytest.raises(TypeError):
+        BathConfiguration(seed=0, positions=np.empty((0, 3)))
     built = BathConfiguration(
         seed=0,
         positions=np.empty((0, 3)),

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bath_reference import enumerate_pairs, generate_lattice, occupy
+
 from donorspin import diagonalize, expectation_sz, si_bi
 from donorspin.bath import (
     BathConfiguration,
@@ -22,9 +24,6 @@ from donorspin.bath import (
     convergence_study,
     dipolar_b,
     ensemble_echo,
-    enumerate_pairs,
-    occupy,
-    generate_lattice,
     superhyperfine_j,
 )
 import donorspin.bath

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from donorspin.bath import LatticeSpec, generate_lattice
+from bath_reference import generate_lattice
+
+from donorspin.bath import LatticeSpec
 
 A0 = 0.543
 

@@ -9,19 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from donorspin.bath import (
-    LatticeSpec,
-    enumerate_pairs,
-    generate_lattice,
-    occupied_positions,
-    occupy,
-)
+from bath_reference import _site_keys, enumerate_pairs, generate_lattice, occupy
+
+from donorspin.bath import CceParams, LatticeSpec, build_configuration, occupied_positions
 from donorspin.bath import occupancy
 from donorspin.bath.occupancy import (
     _DONOR_KEY,
     _chooser,
     _lattice_pairs,
-    _site_keys,
     in_cube,
 )
 
@@ -153,10 +148,14 @@ def test_invalid_abundance():
 
 
 def test_positions_are_read_only():
-    sites = generate_lattice(LatticeSpec(side_nm=3.0))
-    config = occupy(sites, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        config.positions[0, 0] = 1.0
+    params = CceParams(transition=(11, 10), field_b=0.3446, lattice=LatticeSpec(side_nm=3.0),
+                       time_grid_ms=(0.0, 0.1), abundance=0.5)
+    config = build_configuration(params, 0)
+    arrays = (config.positions, config.couplings_j, config.pair_indices, config.pair_b)
+    assert all(len(arr) for arr in arrays)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

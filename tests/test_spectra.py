@@ -1,12 +1,16 @@
 """Resonance search, intensities, synthesized spectra, frequency-field map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from donorspin import diagonalize, si_bi
+from donorspin.doublet import label_structure
 from donorspin.spectra import (
     SpectrumCurve,
     Transition,
+    _adjacent_pairs,
     df_db,
     find_all_resonances,
     frequency_field_map,
@@ -18,6 +22,17 @@ from donorspin.spectra import (
 )
 
 SYS = si_bi()
+
+
+@pytest.mark.parametrize("nuclear_spin", [0.5, 1.0, 1.5, 4.5, 7.0, 10.5, 99.5])
+def test_adjacent_pairs_match_the_d_by_d_listing(nuclear_spin):
+    system = dataclasses.replace(SYS, nuclear_spin=nuclear_spin, nuclear_zeeman_delta=0.0)
+    m, _ = label_structure(system)
+    want = np.argwhere(np.triu(np.abs(m[:, None] - m[None, :]) == 1.0)) + 1
+    got = _adjacent_pairs(system)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert len(got) == 2 * system.dimension - 4
 
 
 def test_transition_frequency_at_resonance_fields():
