@@ -15,6 +15,10 @@ import numpy as np
 
 from ..constants import CONSTANTS, BI_G_FACTOR, SI_LATTICE_NM
 
+_GAMMA_SI29_HZ = CONSTANTS.gyromagnetic_si29 * 1e6
+# (mu0/4pi) gamma^2 h / r^3 in MHz for r in nm: nm -> m is 1e-27 on r^3, Hz -> MHz 1e-6
+DIPOLAR_MHZ_NM3 = 1e-7 * _GAMMA_SI29_HZ * _GAMMA_SI29_HZ * CONSTANTS.planck_h / 1e-27 / 1e6
+
 
 @dataclasses.dataclass(frozen=True)
 class KohnLuttingerModel:
@@ -104,8 +108,5 @@ def dipolar_b(
     if np.any(r == 0.0):
         raise ValueError("coincident bath sites")
     cos_theta = (delta @ direction) / r
-    gamma_hz = CONSTANTS.gyromagnetic_si29 * 1e6
-    # (mu0/4pi) gamma^2 h / r^3, with r in nm -> m (1e-27) and Hz -> MHz
-    scale = 1e-7 * gamma_hz * gamma_hz * CONSTANTS.planck_h / 1e-27 / 1e6
-    out = -scale * (1.0 - 3.0 * cos_theta * cos_theta) / r**3
+    out = -DIPOLAR_MHZ_NM3 * (1.0 - 3.0 * cos_theta * cos_theta) / r**3
     return float(out[0]) if np.ndim(pos_k) == 1 and np.ndim(pos_l) == 1 else out

@@ -183,12 +183,13 @@ def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) ->
     """All index pairs of spec's cube sites within r_max: rows (i, j) with
     i < j in lexicographic order, dtype np.intp.
 
-    positions are donor-relative sites of the cube (nm), any subset in any
-    order. Each site gets an index on the cube padded by m = ceil(r/a0) + 1
-    cells per face, w = n + 2m cells per axis: ((cx w + cy) w + cz) 8 + basis.
+    positions are donor-relative sites of the cube (nm), any subset in
+    `occupied_positions` order. Each site gets an index on the cube padded by
+    m = ceil(r/a0) + 1 cells per face, w = n + 2m cells per axis:
+    ((cx w + cy) w + cz) 8 + basis, which in that order strictly ascends.
     A diamond site's partners within r_max sit at fixed index steps that
     depend on its basis site only; the stencil keeps the forward ones
-    (step > 0), so each pair is found once, from its lower-index site. The
+    (step > 0), so each pair is found once, from its lower site. The
     sites' ranks are scattered into an int32 map of the padded sites (-1
     where a site is empty), and each basis site's steps are one gather.
 
@@ -213,8 +214,8 @@ def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) ->
         raise ValueError("positions must be sites of the cube")
     strides = np.array([width * width, width, 1])
     site = (cell @ strides) * 8 + basis
-    order = np.argsort(site, kind="stable")
-    site, basis = site[order], basis[order]
+    if np.any(site[1:] <= site[:-1]):
+        raise ValueError("positions must be distinct sites in occupancy's order")
 
     # stencil: basis site b to basis site t of the cell `shift` cells away
     shift = np.indices((2 * pad + 1,) * 3).reshape(3, -1).T - pad
@@ -231,14 +232,13 @@ def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) ->
         base = first * plane
         begin, middle, end = np.searchsorted(site, base + plane * np.array([0, slab, slab + pad]))
         rank.fill(-1)
-        rank[site[begin:end] - base] = order[begin:end]
+        rank[site[begin:end] - base] = np.arange(begin, end)
         for b in range(len(_BASIS_QUARTERS)):
             own = begin + np.flatnonzero(basis[begin:middle] == b)
             # one row per step, each a sweep over the sites in index order
             partner = rank[step[:, b][forward[:, b], None] + (site[own] - base)].ravel()
             hit = np.flatnonzero(partner >= 0)
-            lower.append(order[own[hit % len(own)]])
+            lower.append(own[hit % len(own)])
             upper.append(partner[hit])
-    i, j = np.concatenate(lower), np.concatenate(upper).astype(np.intp)
-    code = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    code = np.sort(np.concatenate(lower) * n + np.concatenate(upper))
     return np.stack((code // n, code % n), axis=1)

@@ -15,6 +15,7 @@ import math
 from typing import Any
 
 from ..bath import PAIR_SHELLS, LatticeSpec
+from ..bath.couplings import DIPOLAR_MHZ_NM3
 from ..constants import (
     BI_G_FACTOR,
     BI_HYPERFINE_MHZ,
@@ -114,7 +115,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
 
 def spin_system(config) -> SpinSystem:
     """The donor of config's [donor] section, whose keys are SpinSystem fields."""
-    return SpinSystem(electron_spin=0.5, **config["donor"])
+    return SpinSystem(**config["donor"])
 
 
 # largest array of any command, about 80 MB as float64: the resonances
@@ -138,6 +139,25 @@ def _cube_fits(side_nm: float, config) -> bool:
     except (ValueError, OverflowError):  # an infinite cell count overflows int()
         return False
     return 8 * n * n <= MAX_SPECTRUM_POINTS and 8 * n**3 * cce["abundance"] <= MAX_SPECTRUM_POINTS
+
+
+def _bath_distances_fit(config) -> bool:
+    """Whether cce.a0_nm keeps the distances and dipolar couplings of the
+    largest cube (of cce.side_nm and converge.sides_nm) finite and nonzero.
+
+    By arithmetic, without a lattice: the nearest-neighbour r = sqrt(3) a0/4
+    has r^3 > 0, and the largest b, 2 DIPOLAR_MHZ_NM3 / r^3, a finite (b/4)^4,
+    the echo kernel's w_a^2 w_b^2. A side s has squared extent 3 s^2, which
+    bounds every site's r^2 from the donor; its 3/2 power, every pair's r^3.
+    """
+    side = max(config["cce"]["side_nm"], *config["converge"]["sides_nm"])
+    extent2 = 3.0 * side * side
+    r_nn = math.sqrt(3.0) / 4.0 * config["cce"]["a0_nm"]
+    r3 = r_nn * r_nn * r_nn
+    if not (r3 > 0.0 and math.isfinite(extent2 * math.sqrt(extent2))):
+        return False
+    quarter_b = 0.5 * DIPOLAR_MHZ_NM3 / r3
+    return math.isfinite(quarter_b * quarter_b * quarter_b * quarter_b)
 
 
 def _levels_finite(config, field_t: float) -> bool:
@@ -248,6 +268,10 @@ RULES = (
      f"n of them, 8 n^2 sites per x-plane and 8 n^3 cce.abundance expected spins must each "
      f"stay at most {MAX_SPECTRUM_POINTS:,}",
      lambda c: all(_cube_fits(side, c) for side in c["converge"]["sides_nm"])),
+    ("cce.a0_nm: at {cce[a0_nm]!r} nm, with the largest side of cce.side_nm and "
+     "converge.sides_nm, the bath's distances and dipolar couplings must stay finite "
+     "and nonzero",
+     _bath_distances_fit),
     # two entries that name one echo CSV would overwrite each other's output
     ("converge.sides_nm: the sides {converge[sides_nm]!r} must each write their own echo "
      "CSV, but two give the same file name",

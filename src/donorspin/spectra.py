@@ -152,8 +152,14 @@ def _resonance_roots(sys: SpinSystem, pairs: np.ndarray, frequency: float,
     quartic = np.empty((len(targets), 5))
     for n, (square, cross) in enumerate(zip(_convolve_rows(lhs, lhs), _convolve_rows(ell2, rj2))):
         quartic[:, n] = square - 4.0 * cross
-    # trailing exact zeros do not count, so the degree is per row
-    degree = np.max(np.where(quartic != 0.0, np.arange(5), 0), axis=1)
+    # the degree is per row: a term counts only if over the field range,
+    # |c_n| y_max^n, it passes 2^-52 of the row's largest term (compared as
+    # log2, so that neither y_max^n nor an exact zero needs a guard)
+    log_y_max = max(0.0, math.log2(hi) - math.log2(tesla_per_y))
+    size = np.log2(np.abs(quartic), out=np.full(quartic.shape, -np.inf), where=quartic != 0.0)
+    size += log_y_max * np.arange(5)
+    counts = size > np.max(size, axis=1, keepdims=True) - 52.0
+    degree = np.max(np.where(counts, np.arange(5), 0), axis=1)
     roots = np.full((len(targets), 4), np.nan, dtype=complex)
     for d in np.unique(degree[degree > 0]):
         of_degree = np.flatnonzero(degree == d)

@@ -74,20 +74,17 @@ def spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class SpinSystem:
     """A donor: electron spin 1/2 coupled to one nuclear spin.
 
-    hyperfine_mhz is A, g_factor the electron g value, and
-    nuclear_zeeman_delta the ratio of nuclear to electronic Zeeman
-    frequencies (positive for Bi-209).
+    The electron spin is 1/2 by construction, not a field. hyperfine_mhz
+    is A, g_factor the electron g value, and nuclear_zeeman_delta the
+    ratio of nuclear to electronic Zeeman frequencies (positive for Bi-209).
     """
 
-    electron_spin: float
     nuclear_spin: float
     hyperfine_mhz: float
     g_factor: float
     nuclear_zeeman_delta: float
 
     def __post_init__(self):
-        if _check_spin(self.electron_spin) != 0.5:
-            raise ValueError("only electron spin 1/2 is supported")
         if _check_spin(self.nuclear_spin) < 0.5:
             raise ValueError("nuclear spin must be at least 1/2")
         if self.hyperfine_mhz <= 0:
@@ -119,7 +116,6 @@ class SpinSystem:
 def si_bi() -> SpinSystem:
     """The Si:Bi donor (I = 9/2, A = 1475.4 MHz)."""
     return SpinSystem(
-        electron_spin=0.5,
         nuclear_spin=BI_NUCLEAR_SPIN,
         hyperfine_mhz=BI_HYPERFINE_MHZ,
         g_factor=BI_G_FACTOR,
@@ -142,7 +138,7 @@ class SpinOperators:
 
 def spin_operators(sys: SpinSystem) -> SpinOperators:
     """Operators in the product basis |m_s> x |m_I>, both descending."""
-    sx1, sy1, sz1 = spin_matrices(sys.electron_spin)
+    sx1, sy1, sz1 = spin_matrices(0.5)
     ix1, iy1, iz1 = spin_matrices(sys.nuclear_spin)
     es, en = np.eye(len(sz1)), np.eye(len(iz1))
     return SpinOperators(

@@ -33,7 +33,13 @@ from donorspin.bath import (
 from donorspin.bath.ensemble import THIRD_NN_FACTOR
 from donorspin.bath.occupancy import MAX_CELLS_PER_AXIS
 from donorspin.cli import SCHEMA, ConfigError, default_config, load_config, render_config
-from donorspin.cli.config import MAX_SPECTRUM_POINTS, spectrum_points, spin_system, validate
+from donorspin.cli.config import (
+    MAX_SPECTRUM_POINTS,
+    _bath_distances_fit,
+    spectrum_points,
+    spin_system,
+    validate,
+)
 from donorspin.cli.main import _COMMANDS, _CSV_BLOCK_CELLS, _write, main
 from donorspin.cli.manifest import file_sha256
 from donorspin.spectra import _adjacent_pairs
@@ -794,6 +800,14 @@ def test_largest_cube_is_the_occupancy_work_limit():
             validate(config)
 
 
+def test_every_lattice_constant_of_a_real_scale_keeps_the_distance_rule():
+    # validate's a0 rule alone, at the default sides: 1e-3 to 1e3 nm
+    config = default_config()
+    for a0 in np.geomspace(1e-3, 1e3, 25).tolist():
+        config["cce"]["a0_nm"] = a0
+        assert _bath_distances_fit(config), a0
+
+
 # one run of every extreme row the config rules and the O(D) pair listing
 # mend: (command, config, exit code, key an exit 2 names). Field keys at
 # 1e306 T: levels and freqmap are rejected, rabi and cce write their
@@ -809,6 +823,17 @@ EXTREME_ROWS = [
     ("cce", "[cce]\nside_nm = 1e3\n", 2, "cce.side_nm"),
     ("cce", "[cce]\nside_nm = 1e300\na0_nm = 1e-300\n", 2, "cce.side_nm"),
     ("cce-converge", "[converge]\nsides_nm = 3.0 1e3\n", 2, "converge.sides_nm"),
+    # lattice constants whose distances overflow or underflow, each in a
+    # 3-cell cube: the a0 rule names the key (the cube rules only mention it)
+    ("cce", "[cce]\na0_nm = 1e200\nside_nm = 3e200\n[converge]\nsides_nm = 3e200\n", 2,
+     "cce.a0_nm:"),
+    ("cce", "[cce]\na0_nm = 1e-30\nside_nm = 3e-30\n[converge]\nsides_nm = 3e-30\n", 2,
+     "cce.a0_nm:"),
+    ("cce", "[cce]\na0_nm = 1e-300\nside_nm = 3e-300\n[converge]\nsides_nm = 3e-300\n", 2,
+     "cce.a0_nm:"),
+    # a nuclear Zeeman ratio whose quartic terms are negligible over the range
+    ("resonances", "[donor]\nnuclear_zeeman_delta = 1e-50\n", 0, None),
+    ("resonances", "[donor]\nnuclear_zeeman_delta = 1e-155\n", 0, None),
     # D = 40,000 levels: 79,996 label pairs one m apart, listed in O(D)
     ("resonances", "[donor]\nnuclear_spin = 9999.5\nnuclear_zeeman_delta = 0\n", 0, None),
     ("freqmap", "[donor]\nnuclear_spin = 9999.5\nnuclear_zeeman_delta = 0\n"

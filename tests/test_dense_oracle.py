@@ -137,7 +137,7 @@ def test_resonance_roots_exact_and_complete_for_every_pair(frequency, ends):
 
 
 # an I = 3/2 donor with the hyperfine constant and nuclear Zeeman ratio of Si:As
-AS_LIKE = SpinSystem(electron_spin=0.5, nuclear_spin=1.5, hyperfine_mhz=198.35,
+AS_LIKE = SpinSystem(nuclear_spin=1.5, hyperfine_mhz=198.35,
                      g_factor=1.99837, nuclear_zeeman_delta=2.607e-4)
 
 

@@ -251,9 +251,9 @@ def test_lattice_pairs_equal_enumerate_pairs(cells, a0_nm, abundance, seed, shuf
     assert spec.cells_per_axis == cells
     pos = occupied_positions(spec, abundance, seed)
     if shuffle is not None:
-        # any subset, in any order
+        # any subset, in occupancy's order
         rng = np.random.default_rng(shuffle)
-        pos = pos[rng.permutation(len(pos))[: len(pos) // 2]]
+        pos = pos[np.sort(rng.permutation(len(pos))[: len(pos) // 2])]
     for r_max in [*_shell_radii(a0_nm), 0.3, 0.7, 1.1]:
         want = enumerate_pairs(pos, r_max)
         with mock.patch.object(occupancy, "_RANK_MAP_SITES", map_sites):
@@ -261,6 +261,18 @@ def test_lattice_pairs_equal_enumerate_pairs(cells, a0_nm, abundance, seed, shuf
         assert got.dtype == np.intp
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_lattice_pairs_refuse_sites_out_of_occupancy_order():
+    # a full 3-cell cube: shuffled, or with one site repeated next to itself
+    spec = LatticeSpec(side_nm=3 * A0)
+    sites = occupied_positions(spec, 1.0, seed=0)
+    r_max = _shell_radii(A0)[1]
+    shuffled = sites[np.random.default_rng(5).permutation(len(sites))]
+    repeated = np.insert(sites, 100, sites[100], axis=0)
+    for positions in (shuffled, repeated):
+        with pytest.raises(ValueError, match="occupancy's order"):
+            _lattice_pairs(positions, spec, r_max)
 
 
 def test_rank_map_of_a_sparse_bath_does_not_grow_with_the_cube():

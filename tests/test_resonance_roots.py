@@ -1,14 +1,23 @@
 """The batched resonance solve against a per-pair numpy.polynomial reference."""
 
+import dataclasses
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from donorspin import SpinSystem
+from donorspin import SpinSystem, si_bi
 from donorspin.constants import BI_G_FACTOR, BI_NUCLEAR_ZEEMAN_DELTA
 from donorspin.doublet import label_structure, level_table
-from donorspin.spectra import ROOT_TOL_MHZ, _adjacent_pairs, _resonance_roots
+from donorspin.spectra import (
+    ROOT_TOL_MHZ,
+    _adjacent_pairs,
+    _resonance_roots,
+    find_all_resonances,
+)
 
 
 def reference_roots(sys, pairs, frequency, b_range):
@@ -66,7 +75,7 @@ def _assert_same_roots(system, frequency, b_range):
 )
 def test_batched_roots_match_the_per_pair_reference(
         nuclear_spin, nuclear_zeeman_delta, hyperfine_mhz, frequency, ends):
-    system = SpinSystem(electron_spin=0.5, nuclear_spin=nuclear_spin, hyperfine_mhz=hyperfine_mhz,
+    system = SpinSystem(nuclear_spin=nuclear_spin, hyperfine_mhz=hyperfine_mhz,
                         g_factor=BI_G_FACTOR, nuclear_zeeman_delta=nuclear_zeeman_delta)
     _assert_same_roots(system, frequency, tuple(sorted(ends)))
 
@@ -76,7 +85,25 @@ def test_batched_roots_where_the_degree_drops():
     # delta = 0 the y^2 term cancels too, and with I = 1/2, delta = -1/2
     # the y^4 term cancels
     for nuclear_spin, delta in ((4.5, 0.0), (0.5, 0.0), (0.5, -0.5), (1.5, 0.0)):
-        system = SpinSystem(electron_spin=0.5, nuclear_spin=nuclear_spin, hyperfine_mhz=1475.4,
+        system = SpinSystem(nuclear_spin=nuclear_spin, hyperfine_mhz=1475.4,
                             g_factor=BI_G_FACTOR, nuclear_zeeman_delta=delta)
         for frequency in (737.7, 1475.4, 4044.0, 9700.0):
             _assert_same_roots(system, frequency, (0.0, 2.0))
+
+
+@pytest.mark.parametrize("frequency, b_max, count", [(4044.0, 0.6, 2), (9700.0, 1.0, 18)])
+@pytest.mark.parametrize("delta", [1e-20, 1e-30, 1e-50, 1e-150, 1e-155, 5e-324, -1e-160])
+def test_a_negligible_nuclear_zeeman_term_keeps_every_line(frequency, b_max, count, delta):
+    # the quartics' leading terms, about 16 delta^2, are negligible over the
+    # field range: the lines are delta = 0's, found without a warning
+    exact = dataclasses.replace(si_bi(), nuclear_zeeman_delta=0.0)
+    want = find_all_resonances(exact, frequency, (0.0, b_max))
+    assert len(want) == count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = find_all_resonances(dataclasses.replace(exact, nuclear_zeeman_delta=delta),
+                                  frequency, (0.0, b_max))
+    assert [(t.label_upper, t.label_lower) for t in got] == [
+        (t.label_upper, t.label_lower) for t in want]
+    np.testing.assert_allclose([t.field_b for t in got], [t.field_b for t in want],
+                               rtol=0.0, atol=1e-9)

@@ -47,11 +47,9 @@ def test_invalid_spin_rejected(bad):
 
 def test_spin_system_validation():
     with pytest.raises(ValueError):
-        SpinSystem(1.0, 4.5, 1475.4, 2.0, 1e-4)
+        SpinSystem(0.0, 1475.4, 2.0, 1e-4)
     with pytest.raises(ValueError):
-        SpinSystem(0.5, 0.0, 1475.4, 2.0, 1e-4)
-    with pytest.raises(ValueError):
-        SpinSystem(0.5, 4.5, -1.0, 2.0, 1e-4)
+        SpinSystem(4.5, -1.0, 2.0, 1e-4)
 
 
 def test_product_operators_commute_across_subsystems():
@@ -88,7 +86,7 @@ def test_zero_field_multiplets():
 
 def test_decoupled_limit_is_pure_zeeman():
     # with A -> 0 the exact eigenvalues are f0 (m_s - delta m_I)
-    sys = SpinSystem(0.5, 4.5, 1e-12, 2.0003, 2.488e-4)
+    sys = SpinSystem(4.5, 1e-12, 2.0003, 2.488e-4)
     b = 0.35
     f0 = sys.zeeman_mhz(b)
     es = diagonalize(sys, b)

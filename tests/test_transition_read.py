@@ -57,7 +57,7 @@ def reference_resonances(sys, frequency, b_range, intensity_floor):
 )
 def test_find_all_resonances_equals_the_per_row_reference(
         nuclear_spin, nuclear_zeeman_delta, hyperfine_mhz, frequency, ends, intensity_floor):
-    system = SpinSystem(electron_spin=0.5, nuclear_spin=nuclear_spin, hyperfine_mhz=hyperfine_mhz,
+    system = SpinSystem(nuclear_spin=nuclear_spin, hyperfine_mhz=hyperfine_mhz,
                         g_factor=BI_G_FACTOR, nuclear_zeeman_delta=nuclear_zeeman_delta)
     b_range = tuple(sorted(ends))
     got = find_all_resonances(system, frequency, b_range, intensity_floor)
