@@ -47,12 +47,30 @@ class KohnLuttingerModel:
     def k0_per_nm(self) -> float:
         return self.k0_factor * 2.0 * math.pi / self.a0_nm
 
+    @property
+    def contact_si(self) -> float:
+        """J per |psi|^2 in SI units: (4 mu0 / 3) g mu_B gamma_si eta."""
+        return ((4.0 * CONSTANTS.vacuum_permeability / 3.0) * self.g_factor
+                * CONSTANTS.bohr_magneton * (CONSTANTS.gyromagnetic_si29 * 1e6) * self.eta)
+
+    def max_abs_j_mhz(self) -> float:
+        """A bound on |J| at every site, by arithmetic: each of the six
+        valley envelopes is at most norm (at the donor), so |psi| is at most
+        6 norm / sqrt(6) and |psi|^2 at most 6 norm^2."""
+        norm = self._envelope()[2]
+        return abs(self.contact_si) * (6.0 * norm * norm) * 1e27 * 1e-6
+
+    def _envelope(self) -> tuple[float, float, float]:
+        """(na, nb, norm): the shrunken radii in nm and the normalization
+        1 / sqrt(pi na^2 nb) in nm^-3/2."""
+        na = self.n_scale * self.radius_a_nm
+        nb = self.n_scale * self.radius_b_nm
+        return na, nb, 1.0 / math.sqrt(math.pi * na * na * nb)
+
     def _psi_squared(self, pos: np.ndarray, r2: np.ndarray) -> np.ndarray:
         """|psi|^2 in nm^-3 at (N, 3) donor-relative positions (nm) whose
         squared radii r2 are known."""
-        na = self.n_scale * self.radius_a_nm
-        nb = self.n_scale * self.radius_b_nm
-        norm = 1.0 / math.sqrt(math.pi * na * na * nb)
+        na, nb, norm = self._envelope()
         psi = np.zeros(len(pos))
         # valleys +-x, +-y, +-z; the two valleys of an axis contribute
         # identically (even envelope, even cosine)
@@ -79,15 +97,8 @@ def superhyperfine_j(
     r2 = np.sum(pos * pos, axis=1)
     if np.any(r2 == 0.0):
         raise ValueError("superhyperfine coupling is not defined at the donor site")
-    prefactor_si = (
-        (4.0 * CONSTANTS.vacuum_permeability / 3.0)
-        * model.g_factor
-        * CONSTANTS.bohr_magneton
-        * (CONSTANTS.gyromagnetic_si29 * 1e6)
-        * model.eta
-    )
     # nm^-3 -> m^-3 is 1e27, Hz -> MHz is 1e-6
-    return prefactor_si * model._psi_squared(pos, r2) * 1e27 * 1e-6
+    return model.contact_si * model._psi_squared(pos, r2) * 1e27 * 1e-6
 
 
 def dipolar_b(

@@ -189,13 +189,13 @@ def cce2_echo(
     s_a: float,
     s_b: float,
     times_ms: np.ndarray,
-    f_z_mhz: float = 0.0,
 ) -> EchoCurve:
     """Total echo, the product of the pair echoes, for one bath configuration.
 
     s_a, s_b are the <Sz> values of the two donor levels of the probed
-    transition; f_z_mhz drops out exactly, as in pair_echo. With no
-    pairs the echo is exactly 1.
+    transition; the bath Zeeman frequency drops out exactly, as in
+    pair_echo. With no pairs the echo is exactly 1.
     """
-    times = np.asarray(times_ms, dtype=float)
+    # a copy: the curve freezes its times, and must not freeze the caller's
+    times = np.array(times_ms, dtype=float)
     return EchoCurve(times_ms=times, amplitude=_pair_products(config, s_a, s_b, times)[0])

@@ -77,12 +77,10 @@ def build_configuration(params: CceParams, config_index: int) -> BathConfigurati
     its occupied sites, their J, the pairs within params.pair_cutoff_nm and
     their dipolar b. The pairs come from the lattice the sites were drawn
     from (`_lattice_pairs`)."""
-    seed = params.seed + config_index
-    pos = occupied_positions(params.lattice, params.abundance, seed)
+    pos = occupied_positions(params.lattice, params.abundance, params.seed + config_index)
     pairs = _lattice_pairs(pos, params.lattice, params.pair_cutoff_nm)
     direction = np.asarray(params.b_direction, dtype=float)
     return BathConfiguration(
-        seed=seed,
         positions=pos,
         couplings_j=superhyperfine_j(pos, params.model),
         pair_indices=pairs,

@@ -56,7 +56,6 @@ class BathConfiguration:
     positions in nm, their contact couplings J, and the pairs with their
     dipolar b."""
 
-    seed: int
     positions: np.ndarray       # (N, 3) nm
     couplings_j: np.ndarray     # (N,) MHz
     pair_indices: np.ndarray    # (P, 2) indices into positions

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from typing import Any
 
-from ..bath import PAIR_SHELLS, LatticeSpec
+from ..bath import PAIR_SHELLS, KohnLuttingerModel, LatticeSpec
 from ..bath.couplings import DIPOLAR_MHZ_NM3
 from ..constants import (
     BI_G_FACTOR,
@@ -25,7 +26,7 @@ from ..constants import (
     SI_LATTICE_NM,
 )
 from ..fitting.routines import ECHO_MIN_POINTS
-from ..spectra import INTENSITY_FLOOR, sx_matrix_element
+from ..spectra import INTENSITY_FLOOR, line_sigma_t, sx_matrix_element
 from ..spin import SpinSystem
 
 
@@ -141,23 +142,96 @@ def _cube_fits(side_nm: float, config) -> bool:
     return 8 * n * n <= MAX_SPECTRUM_POINTS and 8 * n**3 * cce["abundance"] <= MAX_SPECTRUM_POINTS
 
 
+def _zeeman_per_tesla_fits(config) -> bool:
+    """Whether the electron Zeeman frequency per tesla f1 is nonzero, and
+    f1, the level slopes it scales and A / f1 (the resonance search's
+    tesla per unit of f0 / A) are finite.
+
+    A slope is f1 times at most (1 + |delta|) / 2 + (I + 1/2) |delta|.
+    """
+    donor = config["donor"]
+    f1 = spin_system(config).zeeman_mhz(1.0)
+    nz = abs(donor["nuclear_zeeman_delta"])
+    slope = f1 * (0.5 * (1.0 + nz) + (donor["nuclear_spin"] + 0.5) * nz)
+    return f1 > 0.0 and math.isfinite(slope) and math.isfinite(donor["hyperfine_mhz"] / f1)
+
+
+def _lines_finite(config) -> bool:
+    """Whether the resonances spectrum stays finite, by arithmetic on the
+    line width sigma (`spectra.line_sigma_t`).
+
+    Every line and grid point lies in the field span s, so x = (B - B0) /
+    sigma has |x| <= s / sigma, and x^2 and x / sigma must be finite. A
+    line of intensity at most 1/4 is at most 1 / sigma (absorption) or
+    1 / sigma^2 (derivative), and the spectrum sums at most 4 roots of 2
+    signs of the donor's 2 D - 4 label pairs one m apart.
+    """
+    section = config["resonances"]
+    sigma = line_sigma_t(section["fwhm_mt"])
+    if not sigma > 0.0:
+        return False
+    x = (section["b_max_t"] - section["b_min_t"]) / sigma
+    lines = 8 * (2 * spin_system(config).dimension - 4)
+    return (math.isfinite(x * x) and math.isfinite(x / sigma)
+            and math.isfinite(lines * ((1.0 + 1.0 / sigma) / sigma)))
+
+
+def _quarter_b_max(config) -> float:
+    """|b| / 4 of the nearest-neighbour pair, the largest of any pair: with
+    r = sqrt(3) a0 / 4 and |1 - 3 cos^2 theta| <= 2, DIPOLAR_MHZ_NM3 /
+    (2 r^3); inf where r^3 underflows to 0."""
+    r_nn = math.sqrt(3.0) / 4.0 * config["cce"]["a0_nm"]
+    r3 = r_nn * r_nn * r_nn
+    return 0.5 * DIPOLAR_MHZ_NM3 / r3 if r3 > 0.0 else math.inf
+
+
 def _bath_distances_fit(config) -> bool:
     """Whether cce.a0_nm keeps the distances and dipolar couplings of the
     largest cube (of cce.side_nm and converge.sides_nm) finite and nonzero.
 
-    By arithmetic, without a lattice: the nearest-neighbour r = sqrt(3) a0/4
-    has r^3 > 0, and the largest b, 2 DIPOLAR_MHZ_NM3 / r^3, a finite (b/4)^4,
-    the echo kernel's w_a^2 w_b^2. A side s has squared extent 3 s^2, which
-    bounds every site's r^2 from the donor; its 3/2 power, every pair's r^3.
+    By arithmetic, without a lattice: the nearest-neighbour r^3 is nonzero
+    and the largest b (`_quarter_b_max`) has a finite (b/4)^4. A side s has
+    squared extent 3 s^2, which bounds every site's r^2 from the donor; its
+    3/2 power, every pair's r^3.
     """
     side = max(config["cce"]["side_nm"], *config["converge"]["sides_nm"])
     extent2 = 3.0 * side * side
-    r_nn = math.sqrt(3.0) / 4.0 * config["cce"]["a0_nm"]
-    r3 = r_nn * r_nn * r_nn
-    if not (r3 > 0.0 and math.isfinite(extent2 * math.sqrt(extent2))):
-        return False
-    quarter_b = 0.5 * DIPOLAR_MHZ_NM3 / r3
-    return math.isfinite(quarter_b * quarter_b * quarter_b * quarter_b)
+    quarter_b = _quarter_b_max(config)
+    return (math.isfinite(extent2 * math.sqrt(extent2))
+            and math.isfinite(quarter_b * quarter_b * quarter_b * quarter_b))
+
+
+def _echo_bounds(config) -> tuple[float, float]:
+    """Bounds on the echo kernel's w_a^2 w_b^2 and its C over every pair,
+    by arithmetic.
+
+    |b| / 4 is at most `_quarter_b_max` and |J| at most
+    `KohnLuttingerModel.max_abs_j_mhz`, so with |s| <= 1/2 each
+    w^2 = (b/4)^2 + (s dJ/2)^2 is at most (b/4)^2 + (J/2)^2, and
+    C = (b dJ (s_a - s_b) / 8)^2 is at most (b J / 4)^2.
+    """
+    quarter_b = _quarter_b_max(config)
+    j = KohnLuttingerModel(a0_nm=config["cce"]["a0_nm"],
+                           g_factor=config["donor"]["g_factor"]).max_abs_j_mhz()
+    w2 = quarter_b * quarter_b + 0.25 * j * j
+    return w2 * w2, (quarter_b * j) * (quarter_b * j)
+
+
+def _echo_times_fit(config) -> bool:
+    """Whether the echo kernel's loss bound C (2 pi tau_max)^4 stays finite,
+    tau_max = 500 cce.t_max_ms in microseconds (tau = t/2)."""
+    x = 2.0 * math.pi * (500.0 * config["cce"]["t_max_ms"])
+    x2 = x * x
+    return math.isfinite(_echo_bounds(config)[1] * (x2 * x2))
+
+
+def _time_grid_ascends(config) -> bool:
+    """Whether the cce time grid, np.linspace(0, t_max_ms, t_steps), strictly
+    ascends, without building it: a step t_max / (t_steps - 1) of at least
+    the smallest normal float keeps i * step ascending for every i, and
+    (t_steps - 2) steps below t_max. A subnormal step may not."""
+    cce = config["cce"]
+    return cce["t_max_ms"] / (cce["t_steps"] - 1) >= sys.float_info.min
 
 
 def _levels_finite(config, field_t: float) -> bool:
@@ -228,16 +302,18 @@ RULES = (
     ("donor.nuclear_zeeman_delta: |{donor[nuclear_zeeman_delta]!r}| must be below "
      "1 / (2 donor.nuclear_spin)",
      lambda c: abs(c["donor"]["nuclear_zeeman_delta"]) < 1 / (2 * c["donor"]["nuclear_spin"])),
+    ("donor.g_factor: {donor[g_factor]!r} must give a nonzero, finite electron Zeeman "
+     "frequency per tesla f1, with finite level slopes and a finite donor.hyperfine_mhz / f1",
+     _zeeman_per_tesla_fits),
     ("levels.b_max_t: must be at least levels.b_min_t",
      lambda c: c["levels"]["b_max_t"] >= c["levels"]["b_min_t"]),
     ("freqmap.b_max_t: must be at least freqmap.b_min_t",
      lambda c: c["freqmap"]["b_max_t"] >= c["freqmap"]["b_min_t"]),
-    ("levels.b_max_t: at {levels[b_max_t]!r} T the field in mT and the levels of the donor "
-     "(donor.g_factor, donor.hyperfine_mhz) must be finite",
-     lambda c: _levels_finite(c, c["levels"]["b_max_t"])),
-    ("freqmap.b_max_t: at {freqmap[b_max_t]!r} T the field in mT and the levels of the donor "
-     "(donor.g_factor, donor.hyperfine_mhz) must be finite",
-     lambda c: _levels_finite(c, c["freqmap"]["b_max_t"])),
+    *((f"{section}.{key}: at {{{section}[{key}]!r}} T the field in mT and the levels of the "
+       "donor (donor.g_factor, donor.hyperfine_mhz) must be finite",
+       lambda c, section=section, key=key: _levels_finite(c, c[section][key]))
+      for section, key in (("levels", "b_max_t"), ("freqmap", "b_max_t"), ("rabi", "field_t"),
+                           ("cce", "field_t"))),
     ("resonances.frequency_mhz: {resonances[frequency_mhz]!r} MHz against "
      "donor.hyperfine_mhz = {donor[hyperfine_mhz]!r} must keep the resonance polynomials' "
      "coefficients finite",
@@ -248,6 +324,9 @@ RULES = (
      f"{{resonances[grid_step_mt]!r}} mT from {{resonances[b_min_t]!r}} to "
      f"{{resonances[b_max_t]!r}} T must give at most {MAX_SPECTRUM_POINTS:,} spectrum points",
      lambda c: spectrum_points(c["resonances"]) <= MAX_SPECTRUM_POINTS),
+    ("resonances.fwhm_mt: lines of {resonances[fwhm_mt]!r} mT over the field span "
+     "resonances.b_min_t to resonances.b_max_t must keep the spectrum finite",
+     _lines_finite),
     (f"levels.b_steps: {{levels[b_steps]}} fields of {{dimension}} levels must give at most "
      f"{MAX_SPECTRUM_POINTS:,} table entries",
      lambda c: c["levels"]["b_steps"] * spin_system(c).dimension <= MAX_SPECTRUM_POINTS),
@@ -272,6 +351,15 @@ RULES = (
      "converge.sides_nm, the bath's distances and dipolar couplings must stay finite "
      "and nonzero",
      _bath_distances_fit),
+    ("donor.g_factor: {donor[g_factor]!r}, with cce.a0_nm = {cce[a0_nm]!r} nm, must keep the "
+     "echo kernel's terms finite for the largest contact J and dipolar b",
+     lambda c: all(map(math.isfinite, _echo_bounds(c)))),
+    ("cce.t_max_ms: {cce[t_max_ms]!r} ms must keep the echo kernel's loss bound "
+     "C (2 pi tau_max)^4 finite",
+     _echo_times_fit),
+    ("cce.t_max_ms, cce.t_steps: {cce[t_max_ms]!r} ms in {cce[t_steps]} points must give a "
+     f"time step of at least {sys.float_info.min!r} ms, so that the time grid strictly ascends",
+     _time_grid_ascends),
     # two entries that name one echo CSV would overwrite each other's output
     ("converge.sides_nm: the sides {converge[sides_nm]!r} must each write their own echo "
      "CSV, but two give the same file name",

@@ -44,7 +44,6 @@ if TYPE_CHECKING:
 class DoubletParams:
     """Analytic parameters of one doublet at one field (all MHz but theta)."""
 
-    m: float
     delta_detuning: float   # Delta_m
     omega: float            # Omega_m, > 0 for every doublet
     eps: float              # common shift eps_m
@@ -112,10 +111,6 @@ class LevelTable:
                 self.slopes[rows, i] - self.slopes[rows, j],
                 np.where(np.abs(m[i] - m[j]) == 1, element, 0.0))
 
-    def sx_element(self, label_i, label_j) -> np.ndarray:
-        """|<i| Sx x 1 |j>| per field, labels as in `pair`."""
-        return self.pair(label_i, label_j)[2]
-
     def states(self) -> np.ndarray:
         """(F, D, D) real eigenvectors in the product basis, column per label."""
         dim = self.system.dimension
@@ -168,7 +163,7 @@ def doublet_params(sys: SpinSystem, m: float, b_field: float) -> DoubletParams:
     _check_doublet_m(sys, m)
     table, k = level_table(sys, b_field), int(round(sys.nuclear_spin + 0.5 - m))
     return DoubletParams(
-        m=m, delta_detuning=float(table.delta[0, k]), omega=float(table.omega[k]),
+        delta_detuning=float(table.delta[0, k]), omega=float(table.omega[k]),
         eps=float(table.eps[0, k]), beta=float(table.beta[0, k]), theta=float(table.theta[0, k]),
     )
 

@@ -134,7 +134,10 @@ def levenberg_fit(
             r_new = residual(x_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
-                step_rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300)
+                # a held parameter past 1e154 (say a fixed T1 barrier) overflows
+                # |x|^2; the step is then 0 relative to |x|, as the inf gives
+                with np.errstate(over="ignore"):
+                    step_rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300)
                 cost_rel = (cost - cost_new) / max(cost, 1e-300)
                 x, r, cost = x_new, r_new, cost_new
                 history.append(cost)

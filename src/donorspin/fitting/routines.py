@@ -79,8 +79,9 @@ def fit_echo_decay(
         best = dataclasses.replace(best, converged=False)
     amp_fit, rate, ts_fit, n_fit = (float(v) for v in best.x)
     t2_fit = 1.0 / rate if rate > 0 else math.inf
-    result = build_result(best, ["amp", "rate_per_ms", "TS_ms", "n"],
-                          echo_decay(t, amp_fit, t2_fit, ts_fit, n_fit))
+    with np.errstate(over="ignore"):  # as in the residual: exp(-inf) is exactly 0
+        fitted = echo_decay(t, amp_fit, t2_fit, ts_fit, n_fit)
+    result = build_result(best, ["amp", "rate_per_ms", "TS_ms", "n"], fitted)
     params, errors = dict(result.params), dict(result.std_errors)
     del params["rate_per_ms"]
     rate_error = errors.pop("rate_per_ms", None)
@@ -94,13 +95,16 @@ def _t1_linear_prescreen(temps, rates, delta_grid):
     """Best (P, E, Delta) over a Delta grid, with (P, E) solved linearly.
 
     Columns are normalized before the solve; raw T^7 and exp(-Delta/T)
-    columns differ by enough orders of magnitude to trip rank cutoffs.
+    columns differ by enough orders of magnitude to trip rank cutoffs. A
+    column that is 0 throughout (exp(-Delta/T) underflows) stays 0 and
+    gets coefficient 0.
     """
     raman = temps**7
     best = None
     for delta in delta_grid:
         basis = np.column_stack([raman, np.exp(-delta / temps)])
         scale = np.linalg.norm(basis, axis=0)
+        scale[scale == 0.0] = 1.0
         coef, *_ = np.linalg.lstsq(basis / scale, rates, rcond=None)
         coef = np.maximum(coef / scale, 0.0)
         cost = float(np.sum((basis @ coef - rates) ** 2))

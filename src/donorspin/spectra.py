@@ -49,11 +49,10 @@ class Transition:
 
 @dataclasses.dataclass(frozen=True)
 class SpectrumCurve:
-    """Synthesized spectrum on a field grid (tesla); mode names the shape."""
+    """Synthesized spectrum on a field grid (tesla)."""
 
     field_grid: np.ndarray
     signal: np.ndarray
-    mode: str
 
     def __post_init__(self):
         self.field_grid.setflags(write=False)
@@ -161,8 +160,11 @@ def _resonance_roots(sys: SpinSystem, pairs: np.ndarray, frequency: float,
     counts = size > np.max(size, axis=1, keepdims=True) - 52.0
     degree = np.max(np.where(counts, np.arange(5), 0), axis=1)
     roots = np.full((len(targets), 4), np.nan, dtype=complex)
-    for d in np.unique(degree[degree > 0]):
+    # degrees in ascending order, as np.unique would list them (it imports numpy.ma)
+    for d in range(1, 5):
         of_degree = np.flatnonzero(degree == d)
+        if not len(of_degree):
+            continue
         c = quartic[of_degree, :d + 1]
         # the unrotated companion matrix of polynomial.polycompanion; at
         # degree 1 its one eigenvalue is -c0/c1 (+0.0 where c0 is 0)
@@ -236,6 +238,11 @@ def find_all_resonances(
                        intensity=x * x, dfdb_mhz_per_mt=s * 1e-3) for u, w, b, x, s in zip(*columns)]
 
 
+def line_sigma_t(fwhm_mt: float) -> float:
+    """Standard deviation in tesla of a Gaussian line of FWHM fwhm_mt (mT)."""
+    return fwhm_mt * 1e-3 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
 def synthesize_spectrum(
     transitions: list[Transition],
     fwhm_mt: float,
@@ -252,8 +259,9 @@ def synthesize_spectrum(
         raise ValueError(f"unknown spectrum mode {mode!r}")
     if fwhm_mt <= 0:
         raise ValueError("fwhm must be positive")
-    grid = np.asarray(field_grid, dtype=float)
-    sigma = fwhm_mt * 1e-3 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    # a copy: the curve freezes its grid, and must not freeze the caller's
+    grid = np.array(field_grid, dtype=float)
+    sigma = line_sigma_t(fwhm_mt)
     signal = np.zeros_like(grid)
     for tr in transitions:
         x = (grid - tr.field_b) / sigma
@@ -261,7 +269,7 @@ def synthesize_spectrum(
         if mode == "derivative":
             peak *= -x / sigma
         signal += peak
-    return SpectrumCurve(field_grid=grid, signal=signal, mode=mode)
+    return SpectrumCurve(field_grid=grid, signal=signal)
 
 
 _MAP_DTYPE = np.dtype(

@@ -168,7 +168,6 @@ class DonorEigensystem:
     """
 
     system: SpinSystem
-    field_b: float
     energies: np.ndarray        # (D,) MHz
     states: np.ndarray          # (D, D) complex, column per label
     sz: np.ndarray              # (D,) <Sz>
@@ -197,7 +196,6 @@ def diagonalize(sys: SpinSystem, b_field: float) -> DonorEigensystem:
     table = level_table(sys, b_field)
     return DonorEigensystem(
         system=sys,
-        field_b=b_field,
         energies=table.energies[0],
         states=table.states()[0].astype(complex),
         sz=table.sz[0],

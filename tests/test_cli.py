@@ -8,12 +8,14 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import string
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from donorspin.cli import SCHEMA, ConfigError, default_config, load_config, rend
 from donorspin.cli.config import (
     MAX_SPECTRUM_POINTS,
     _bath_distances_fit,
+    _problem,
     spectrum_points,
     spin_system,
     validate,
@@ -808,16 +811,35 @@ def test_every_lattice_constant_of_a_real_scale_keeps_the_distance_rule():
         assert _bath_distances_fit(config), a0
 
 
+# a 3 nm cube of 2 configurations on 6 time points, without the fit
+CCE_TINY = "[cce]\nside_nm = 3.0\nn_configs = 2\nt_steps = 6\nfit = false\n"
+
 # one run of every extreme row the config rules and the O(D) pair listing
-# mend: (command, config, exit code, key an exit 2 names). Field keys at
-# 1e306 T: levels and freqmap are rejected, rabi and cce write their
-# finite high-field limit
+# mend: (command, config, exit code, key an exit 2 names). Every field key
+# at 1e306 T is rejected: its Zeeman frequency overflows
 EXTREME_ROWS = [
     ("levels", "[levels]\nb_max_t = 1e306\n", 2, "levels.b_max_t"),
     ("freqmap", "[freqmap]\nb_max_t = 1e306\n", 2, "freqmap.b_max_t"),
-    ("rabi", "[rabi]\nfield_t = 1e306\n", 0, None),
+    ("rabi", "[rabi]\nfield_t = 1e306\n", 2, "rabi.field_t"),
     ("cce", "[cce]\nfield_t = 1e306\nside_nm = 3.0\nn_configs = 2\nt_steps = 6\nfit = false\n",
-     0, None),
+     2, "cce.field_t"),
+    # a Zeeman frequency per tesla that underflows, and lines too narrow
+    # for the spectrum to stay finite
+    ("resonances", "[donor]\ng_factor = 5e-324\n", 2, "donor.g_factor:"),
+    ("resonances", "[resonances]\nfwhm_mt = 5e-324\n", 2, "resonances.fwhm_mt"),
+    ("resonances", "[resonances]\nfwhm_mt = 1e-300\n", 2, "resonances.fwhm_mt"),
+    # contact couplings, or echo times, that overflow the echo kernel's
+    # terms, and a time grid whose step underflows
+    ("cce", "[donor]\ng_factor = 1e80\n" + CCE_TINY, 2, "donor.g_factor:"),
+    ("cce", "[donor]\ng_factor = 1e296\n" + CCE_TINY, 2, "donor.g_factor:"),
+    ("cce-converge", "[donor]\ng_factor = 1e150\n" + CCE_TINY, 2, "donor.g_factor:"),
+    ("cce", CCE_TINY + "t_max_ms = 1e100\n", 2, "cce.t_max_ms"),
+    ("cce", CCE_TINY + "t_max_ms = 1.7e308\n", 2, "cce.t_max_ms"),
+    ("cce-converge", CCE_TINY + "t_max_ms = 1e300\n", 2, "cce.t_max_ms"),
+    ("cce", CCE_TINY + "t_max_ms = 5e-324\n", 2, "cce.t_max_ms"),
+    ("cce-converge", CCE_TINY + "t_max_ms = 5e-324\n", 2, "cce.t_max_ms"),
+    # contact couplings this large still keep the kernel's terms finite
+    ("cce", "[donor]\ng_factor = 1e75\n" + CCE_TINY, 0, None),
     ("resonances", "[resonances]\nfrequency_mhz = 1e300\n", 2, "resonances.frequency_mhz"),
     ("cce", "[cce]\nside_nm = 1e4\n", 2, "cce.side_nm"),
     ("cce", "[cce]\nside_nm = 1e3\n", 2, "cce.side_nm"),
@@ -841,6 +863,7 @@ EXTREME_ROWS = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, text, code, key", EXTREME_ROWS)
 def test_extreme_rows_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch, command, text,
                                                   code, key):
@@ -863,6 +886,92 @@ def test_extreme_rows_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch,
             with open(csv_path) as fh:
                 cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
             assert all(math.isfinite(float(cell)) for cell in cells)
+
+
+# every float key's extremes, run wherever the key's bound allows them
+GRID_VALUES = (5e-324, -5e-324, 1e-300, -1e-300, 1e-100, 1e-30, -1e-30, 1e30, -1e30, 1e100, 1e200,
+               1e300, -1e300, 1.7e308)
+# section -> the commands that read its keys
+GRID_READERS = {
+    "donor": ("levels", "resonances", "freqmap", "rabi", "cce", "cce-converge"),
+    "levels": ("levels",),
+    "resonances": ("resonances",),
+    "freqmap": ("freqmap",),
+    "rabi": ("rabi",),
+    "cce": ("cce", "cce-converge"),
+    "converge": ("cce-converge",),
+    "fit": ("fit",),
+}
+# small work sizes for every command; the fit command fits a T1 curve,
+# the one fit model that reads a float key (fit.fix_delta_k)
+GRID_BASE = {
+    "levels": {"b_steps": "5"},
+    "freqmap": {"b_steps": "5"},
+    "resonances": {"grid_step_mt": "1.0"},
+    "cce": {"side_nm": "3.0", "n_configs": "2", "t_steps": "6"},
+    "converge": {"sides_nm": "2.0 3.0"},
+    "fit": {"model": "t1_raman_orbach"},
+}
+GRID_KEYS = [(section, key) for section, keys in SCHEMA.items()
+             for key, (tag, _, _) in keys.items() if "float" in tag]
+
+
+def _grid_row_problems(tmp_path, capsys, command, config) -> list[str]:
+    """How one run of command on config breaks the exit-code contract."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in config.items()))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = run_cli(command, "--config", str(cfg), "--out", str(out))
+        except Exception as exc:  # escapes main: a traceback from the command line
+            got = f"{type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    problems = [f"{w.category.__name__}: {w.message}" for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+    if got not in (0, 1, 2):
+        problems.append(f"exit {got}")
+    if "Traceback" in err or "RuntimeWarning" in err:
+        problems.append(err)
+    if got == 2:
+        if not any(f"{section}.{key}" in err for section in SCHEMA for key in SCHEMA[section]):
+            problems.append(f"names no key: {err}")
+        if out.exists():
+            problems.append("left its out dir")
+    if got == 0:
+        for csv_path in out.glob("*.csv"):
+            with open(csv_path) as fh:
+                cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
+            if not all(math.isfinite(float(cell)) for cell in cells):
+                problems.append(f"non-finite cell in {csv_path.name}")
+    shutil.rmtree(out, ignore_errors=True)
+    return problems
+
+
+@pytest.mark.parametrize("section, key", GRID_KEYS)
+def test_every_float_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path, capsys, section,
+                                                                     key):
+    # a T1 curve with its Orbach term well inside the float range
+    temps = (10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 50.0, 60.0)
+    t1_csv = tmp_path / "t1.csv"
+    t1_csv.write_text("temp_k,rate_per_s\n" + "".join(
+        f"{t!r},{1.26e-5 * t**7 + 3e12 * math.exp(-500.0 / t)!r}\n" for t in temps))
+    bound = SCHEMA[section][key][2]
+    failures = []
+    for value in GRID_VALUES:
+        if _problem(bound, value) is not None:
+            continue
+        config = {name: dict(keys) for name, keys in GRID_BASE.items()}
+        config["fit"]["input_csv"] = str(t1_csv)
+        config.setdefault(section, {})[key] = repr(value)
+        for command in GRID_READERS[section]:
+            problems = _grid_row_problems(tmp_path, capsys, command, config)
+            if problems:
+                failures.append((value, command, problems))
+    assert not failures
 
 
 @pytest.mark.parametrize("command", ["levels", "freqmap"])

@@ -84,7 +84,7 @@ def test_level_engine_matches_dense_eigh():
     energies, states = dense_levels(fields)
     table = level_table(SYS, fields)
     labels = np.arange(1, SYS.dimension + 1)
-    sx_engine = table.sx_element(labels[:, None], labels[None, :])
+    sx_engine = table.pair(labels[:, None], labels[None, :])[2]
     h_step = 1e-5
     e_hi, _ = dense_levels(fields + h_step)
     e_lo, _ = dense_levels(fields - h_step)

@@ -133,7 +133,6 @@ def test_single_spin_cluster_factor_is_one():
 def _toy_config(pair_count):
     rng = np.random.default_rng(9)
     return BathConfiguration(
-        seed=0,
         positions=np.zeros((2 * pair_count, 3)),
         couplings_j=rng.normal(0.0, 0.5, 2 * pair_count),
         pair_indices=np.arange(2 * pair_count, dtype=np.intp).reshape(-1, 2),
@@ -164,9 +163,8 @@ def test_cce2_product_structure():
 def test_cce2_empty_and_unbuilt_configs():
     # a configuration is always coupled: it cannot be made from sites alone
     with pytest.raises(TypeError):
-        BathConfiguration(seed=0, positions=np.empty((0, 3)))
+        BathConfiguration(positions=np.empty((0, 3)))
     built = BathConfiguration(
-        seed=0,
         positions=np.empty((0, 3)),
         couplings_j=np.empty(0),
         pair_indices=np.empty((0, 2), dtype=np.intp),
@@ -174,6 +172,14 @@ def test_cce2_empty_and_unbuilt_configs():
     )
     curve = cce2_echo(built, 0.29, -0.21, TIMES)
     assert np.all(curve.amplitude == 1.0)
+
+
+def test_cce2_echo_leaves_the_callers_times_writable():
+    times = TIMES.copy()
+    curve = cce2_echo(_toy_config(2), 0.29, -0.21, times)
+    assert times.flags.writeable
+    times[1] = 0.1
+    assert curve.times_ms[1] == TIMES[1]
 
 
 def test_echo_curve_validation():

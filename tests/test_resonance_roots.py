@@ -1,6 +1,9 @@
 """The batched resonance solve against a per-pair numpy.polynomial reference."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import donorspin
 from donorspin import SpinSystem, si_bi
 from donorspin.constants import BI_G_FACTOR, BI_NUCLEAR_ZEEMAN_DELTA
 from donorspin.doublet import label_structure, level_table
@@ -107,3 +111,20 @@ def test_a_negligible_nuclear_zeeman_term_keeps_every_line(frequency, b_max, cou
         (t.label_upper, t.label_lower) for t in want]
     np.testing.assert_allclose([t.field_b for t in got], [t.field_b for t in want],
                                rtol=0.0, atol=1e-9)
+
+
+def test_resonance_search_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma on first use, 14-26 ms in a fresh process
+    src = os.path.dirname(os.path.dirname(donorspin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from donorspin import si_bi\n"
+        "from donorspin.spectra import find_all_resonances\n"
+        "assert len(find_all_resonances(si_bi(), 4044.0, (0.0, 0.6))) == 2\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -184,7 +184,6 @@ def test_synthesize_spectrum_modes_and_linearity():
     grid = np.linspace(0.10, 0.40, 6001)
     absorption = synthesize_spectrum(found, 0.7, "absorption", grid)
     derivative = synthesize_spectrum(found, 0.7, "derivative", grid)
-    assert absorption.mode == "absorption"
     # derivative integrates back to absorption (up to the integration
     # constant, zero on a grid that starts far from any line)
     integrated = np.concatenate(
@@ -258,3 +257,12 @@ def test_spectrum_curve_is_frozen():
     assert isinstance(curve, SpectrumCurve)
     with pytest.raises(ValueError):
         curve.signal[0] = 1.0
+
+
+def test_synthesize_spectrum_leaves_the_callers_grid_writable():
+    grid = np.linspace(0.1, 0.4, 11)
+    lines = find_all_resonances(SYS, 4044.0, (0.0, 0.6))
+    curve = synthesize_spectrum(lines, 0.7, "derivative", grid)
+    assert grid.flags.writeable
+    grid[0] = 0.0
+    assert curve.field_grid[0] == 0.1

@@ -30,7 +30,7 @@ def reference_resonances(sys, frequency, b_range, intensity_floor):
         upper, lower = (int(label) for label in pairs[k])
         if table.energies[row, upper - 1] < table.energies[row, lower - 1]:
             upper, lower = lower, upper
-        sx = float(table.sx_element(upper, lower)[row])
+        sx = float(table.pair(upper, lower)[2][row])
         slope = table.slopes[row, upper - 1] - table.slopes[row, lower - 1]
         if sx * sx > intensity_floor:
             found.append(Transition(
@@ -78,8 +78,6 @@ def test_pair_outer_scalar_by_array():
     assert gap.shape == slope.shape == sx.shape == (len(table.fields), SYS.dimension)
     assert np.array_equal(gap, table.energies[:, [10]] - table.energies)
     assert np.array_equal(slope, table.slopes[:, [10]] - table.slopes)
-    assert np.array_equal(sx, table.sx_element(11, LABELS))
-    assert np.array_equal(sx[:, 9], table.sx_element(11, 10))
     # the drive couples only labels one m apart
     m, _ = label_structure(SYS)
     assert np.array_equal(sx[1] != 0.0, np.abs(m[10] - m) == 1)
@@ -92,7 +90,6 @@ def test_pair_outer_label_grid():
     assert gap.shape == slope.shape == sx.shape == shape
     assert np.array_equal(gap, table.energies[:, :, None] - table.energies[:, None, :])
     assert np.array_equal(slope, table.slopes[:, :, None] - table.slopes[:, None, :])
-    assert np.array_equal(sx, table.sx_element(LABELS[:, None], LABELS[None, :]))
     assert np.array_equal(sx, np.swapaxes(sx, 1, 2))
     assert np.array_equal(gap, -np.swapaxes(gap, 1, 2))
 
