@@ -67,6 +67,24 @@ class KohnLuttingerModel:
         nb = self.n_scale * self.radius_b_nm
         return na, nb, 1.0 / math.sqrt(math.pi * na * na * nb)
 
+    def _valley_cosine(self, x: np.ndarray) -> np.ndarray:
+        """cos(k0 x) at (N,) coordinates x (nm).
+
+        Lattice coordinates are whole multiples of s = a0/4, so when every x
+        is exactly q s and the planes q span are no more than the points,
+        the cosine is taken once per plane and gathered. The arguments to
+        np.cos are the same floats as per point, and so are the values.
+        """
+        k0, s = self.k0_per_nm, self.a0_nm / 4.0
+        if len(x):
+            q = np.rint(x / s)
+            lo = q.min()
+            span = q.max() - lo + 1
+            if np.array_equal(q * s, x) and span <= len(x):
+                table = np.cos(k0 * ((lo + np.arange(span)) * s))
+                return table[(q - lo).astype(np.intp)]
+        return np.cos(k0 * x)
+
     def _psi_squared(self, pos: np.ndarray, r2: np.ndarray) -> np.ndarray:
         """|psi|^2 in nm^-3 at (N, 3) donor-relative positions (nm) whose
         squared radii r2 are known."""
@@ -76,10 +94,10 @@ class KohnLuttingerModel:
         # identically (even envelope, even cosine)
         for axis in range(3):
             longitudinal = pos[:, axis]
-            rho2 = r2 - longitudinal * longitudinal
-            arg = np.sqrt(rho2 / (na * na) + (longitudinal * longitudinal) / (nb * nb))
+            x2 = longitudinal * longitudinal
+            arg = np.sqrt((r2 - x2) / (na * na) + x2 / (nb * nb))
             envelope = norm * np.exp(-arg)
-            psi += 2.0 * envelope * np.cos(self.k0_per_nm * longitudinal)
+            psi += 2.0 * envelope * self._valley_cosine(longitudinal)
         psi /= math.sqrt(6.0)
         return psi * psi
 
@@ -94,7 +112,9 @@ def superhyperfine_j(
     valley interference does not flip its sign.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    r2 = np.sum(pos * pos, axis=1)
+    x, y, z = pos.T
+    # by columns: the additions of a length-3 np.sum, in its order
+    r2 = x * x + y * y + z * z
     if np.any(r2 == 0.0):
         raise ValueError("superhyperfine coupling is not defined at the donor site")
     # nm^-3 -> m^-3 is 1e27, Hz -> MHz is 1e-6
@@ -115,7 +135,9 @@ def dipolar_b(
     direction = np.asarray(b_direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     delta = pl - pk
-    r = np.linalg.norm(delta, axis=1)
+    dx, dy, dz = delta.T
+    # by columns: the additions of np.linalg.norm's length-3 sum, in its order
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(r == 0.0):
         raise ValueError("coincident bath sites")
     cos_theta = (delta @ direction) / r

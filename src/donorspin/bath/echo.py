@@ -115,7 +115,8 @@ def _pair_amplitudes(j_k, j_l, b, s_a: float, s_b: float, times_ms, masks) -> np
     (sin, cos) of both angles advance by one fixed rotation per step, a
     complex product, and restart from np.sin / np.cos every _RESEED_STRIDE
     steps, as the rotation gains about an ulp per step; any other grid
-    takes np.sin at each point. No (T, P) array is formed.
+    takes np.sin at each point. At t = 0 the phase is exactly 1 + 0i, as
+    np.cos and np.sin give it. No (T, P) array is formed.
     """
     tau_us = 500.0 * np.asarray(times_ms, dtype=float)
     masks = np.asarray(masks, dtype=bool)
@@ -142,6 +143,8 @@ def _pair_amplitudes(j_k, j_l, b, s_a: float, s_b: float, times_ms, masks) -> np
         # phase = cos + i sin of both angles; a complex product rotates it
         if step is not None and i % _RESEED_STRIDE:
             phase *= rotation
+        elif tau == 0.0:
+            phase = np.ones(omega.shape, dtype=complex)
         else:
             phase = _phase(omega * tau)
         np.multiply(phase.imag[0], phase.imag[1], out=loss)

@@ -117,7 +117,7 @@ def in_cube(positions: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     return np.all((q >= low) & (q < low + 4 * spec.cells_per_axis), axis=1)
 
 
-def _chooser(abundance: float, seed: int) -> Callable[[np.ndarray], np.ndarray]:
+def _chooser(abundance: float, seed: int) -> Callable[..., np.ndarray]:
     """The occupation decision of keyed sites for one (abundance, seed).
 
     Checks the abundance and mixes the seed once; the returned function
@@ -130,8 +130,10 @@ def _chooser(abundance: float, seed: int) -> Callable[[np.ndarray], np.ndarray]:
     # n < x holds for an integer n exactly when n < ceil(x)
     threshold = np.uint64(math.ceil(abundance * 2.0**53))
 
-    def chosen(keys: np.ndarray) -> np.ndarray:
-        stream = _mix64(keys ^ seed_mixed)
+    def chosen(keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each key's decision; out, a uint64 array of keys' shape, if
+        given holds the hash in place of a new one."""
+        stream = _mix64(np.bitwise_xor(keys, seed_mixed, out=out))
         stream >>= np.uint64(11)
         return (stream < threshold) & (keys != _DONOR_KEY)
 
@@ -147,19 +149,31 @@ def occupied_positions(
     is never built: the cube is walked one x-plane of cells at a time on
     integer quarter-grid coordinates. A plane's keys are the first plane's
     plus 4 per cell step in x, since x fills the low bits of the key and
-    never carries.
+    never carries; they and their hash are formed in two plane-sized
+    buffers.
     """
     chosen = _chooser(abundance, seed)
     n = spec.cells_per_axis
     donor = _donor_offset(n)
     if n > MAX_CELLS_PER_AXIS:
         raise ValueError("lattice too large for the coordinate key")
-    plane = np.indices((1, n, n)).reshape(3, -1).T
-    q0 = (4 * plane[:, None, :] + _BASIS_QUARTERS[None, :, :]).reshape(-1, 3) - donor
-    keys0 = _pack_keys(q0)
+    # (n, 8, 3): the quarter coordinate of cell c's basis site b along each axis
+    coord = 4 * np.arange(n)[:, None, None] + _BASIS_QUARTERS - donor
+    # the first x-plane's sites (0, cy, cz, b), by columns
+    q0 = np.empty((n, n, 8, 3), dtype=np.int64)
+    q0[..., 0] = coord[0, :, 0]
+    q0[..., 1] = coord[:, None, :, 1]
+    q0[..., 2] = coord[None, :, :, 2]
+    q0 = q0.reshape(-1, 3)
+    # and their keys, as _pack_keys forms them
+    field = (coord + _COORD_OFFSET).astype(np.uint64)
+    keys0 = (field[0, :, 0] | field[:, None, :, 1] << np.uint64(21)
+             | field[None, :, :, 2] << np.uint64(42)).ravel()
+    keys, stream = np.empty_like(keys0), np.empty_like(keys0)
     chunks = []
     for i in range(n):
-        q = np.compress(chosen(keys0 + np.uint64(4 * i)), q0, axis=0)
+        np.add(keys0, np.uint64(4 * i), out=keys)
+        q = np.compress(chosen(keys, stream), q0, axis=0)
         q[:, 0] += 4 * i
         chunks.append(q)
     return np.concatenate(chunks) * (spec.a0_nm / 4.0)
@@ -207,12 +221,12 @@ def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) ->
     pad = math.ceil(r_max_nm / a0) + 1
     width = cells + 2 * pad
     padded = _quarters(positions, a0) + (_donor_offset(cells) + 4 * pad)
-    cell = padded >> 2
-    basis = _BASIS_INDEX[(padded & 3) @ np.array([16, 4, 1])]
-    if np.any(basis < 0) or np.any((cell < pad) | (cell >= pad + cells)):
+    x, y, z = padded.T
+    basis = _BASIS_INDEX[(x & 3) * 16 + (y & 3) * 4 + (z & 3)]
+    if np.any(basis < 0) or np.any((padded < 4 * pad) | (padded >= 4 * (pad + cells))):
         raise ValueError("positions must be sites of the cube")
     strides = np.array([width * width, width, 1])
-    site = (cell @ strides) * 8 + basis
+    site = (((x >> 2) * width + (y >> 2)) * width + (z >> 2)) * 8 + basis
     if np.any(site[1:] <= site[:-1]):
         raise ValueError("positions must be distinct sites in occupancy's order")
 

@@ -121,8 +121,8 @@ def spin_system(config) -> SpinSystem:
 
 # largest array of any command, about 80 MB as float64: the resonances
 # spectrum grid, the levels and freqmap tables, the cce curves of one
-# (side, shell) key, one per configuration, and a bath cube's first x-plane
-# of sites and its expected spins
+# (side, shell) key, one per configuration, a bath cube's first x-plane
+# of sites and its expected spins, and the Jacobian of a lines fit
 MAX_SPECTRUM_POINTS = 10**7
 
 
@@ -378,6 +378,13 @@ RULES = (
     (f"cce.t_steps, cce.fit: the echo fit needs at least {ECHO_MIN_POINTS} time points, got "
      "{cce[t_steps]}; raise cce.t_steps or set cce.fit = false",
      lambda c: not c["cce"]["fit"] or c["cce"]["t_steps"] >= ECHO_MIN_POINTS),
+    # a fit of n lines needs more than 3 n samples, so its Jacobian has at
+    # least 3 n (3 n + 1) entries
+    (f"fit.n_lines: {{fit[n_lines]}} lines need at least 3 fit.n_lines + 1 samples, and the "
+     f"Jacobian of that many samples by 3 fit.n_lines parameters must stay at most "
+     f"{MAX_SPECTRUM_POINTS:,} entries",
+     lambda c: c["fit"]["model"] != "gaussian_lines"
+     or 3 * c["fit"]["n_lines"] * (3 * c["fit"]["n_lines"] + 1) <= MAX_SPECTRUM_POINTS),
 )
 
 

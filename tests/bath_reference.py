@@ -6,15 +6,19 @@ that lattice (`occupancy._lattice_pairs`). The functions here do the
 same work the plain way, on an explicit array of every site of the cube:
 `generate_lattice` lists the sites, `occupy` applies the per-site coin
 flips to them, and `enumerate_pairs` finds the pairs of any point set.
+`reference_j` and `reference_b` are the couplings' plain arithmetic:
+np.cos at every point and numpy's reductions over the coordinate axis.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from donorspin.bath import LatticeSpec
+from donorspin.bath import KohnLuttingerModel, LatticeSpec
+from donorspin.bath.couplings import DIPOLAR_MHZ_NM3
 from donorspin.bath.occupancy import PAIR_D2_TOL_NM2, _chooser, _pack_keys, _quarters
 from donorspin.constants import SI29_ABUNDANCE, SI_LATTICE_NM
 
@@ -128,3 +132,42 @@ def enumerate_pairs(positions: np.ndarray, r_max_nm: float) -> np.ndarray:
         codes.append(np.minimum(i, j) * n + np.maximum(i, j))
     code = np.sort(np.concatenate(codes))
     return np.stack((code // n, code % n), axis=1)
+
+
+def reference_j(
+    positions: np.ndarray, model: KohnLuttingerModel = KohnLuttingerModel()
+) -> np.ndarray:
+    """Contact coupling J in MHz at donor-relative positions (nm), as
+    `superhyperfine_j`, with the valley cosine taken at every point."""
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    r2 = np.sum(pos * pos, axis=1)
+    if np.any(r2 == 0.0):
+        raise ValueError("superhyperfine coupling is not defined at the donor site")
+    na, nb, norm = model._envelope()
+    psi = np.zeros(len(pos))
+    for axis in range(3):
+        longitudinal = pos[:, axis]
+        rho2 = r2 - longitudinal * longitudinal
+        arg = np.sqrt(rho2 / (na * na) + (longitudinal * longitudinal) / (nb * nb))
+        envelope = norm * np.exp(-arg)
+        psi += 2.0 * envelope * np.cos(model.k0_per_nm * longitudinal)
+    psi /= math.sqrt(6.0)
+    return model.contact_si * (psi * psi) * 1e27 * 1e-6
+
+
+def reference_b(
+    pos_k: np.ndarray, pos_l: np.ndarray, b_direction: np.ndarray
+) -> float | np.ndarray:
+    """Secular dipolar coefficient b in MHz, as `dipolar_b`, with the pair
+    length from np.linalg.norm."""
+    pk = np.atleast_2d(np.asarray(pos_k, dtype=float))
+    pl = np.atleast_2d(np.asarray(pos_l, dtype=float))
+    direction = np.asarray(b_direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    delta = pl - pk
+    r = np.linalg.norm(delta, axis=1)
+    if np.any(r == 0.0):
+        raise ValueError("coincident bath sites")
+    cos_theta = (delta @ direction) / r
+    out = -DIPOLAR_MHZ_NM3 * (1.0 - 3.0 * cos_theta * cos_theta) / r**3
+    return float(out[0]) if np.ndim(pos_k) == 1 and np.ndim(pos_l) == 1 else out

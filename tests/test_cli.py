@@ -974,6 +974,41 @@ def test_every_float_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path, 
     assert not failures
 
 
+# every int key's extremes, run wherever the key's bound allows them
+INT_GRID_VALUES = (0, 1, -1, 2**31, 2**63, 10**30)
+INT_GRID_KEYS = [(section, key) for section, keys in SCHEMA.items()
+                 for key, (tag, _, _) in keys.items() if tag in ("int", "intlist")]
+
+
+@pytest.mark.parametrize("section, key", INT_GRID_KEYS)
+def test_every_int_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path, capsys, section,
+                                                                   key):
+    # two lines at 130 and 160 mT in 351 samples, for a lines fit, the one
+    # fit model that reads an int key (fit.n_lines)
+    fields = [0.110 + 0.0002 * k for k in range(351)]
+    signal = [math.exp(-((b - 0.13) / 0.002) ** 2) + 0.6 * math.exp(-((b - 0.16) / 0.0025) ** 2)
+              for b in fields]
+    lines_csv = tmp_path / "lines.csv"
+    lines_csv.write_text("field_t,signal\n" + "".join(
+        f"{b!r},{y!r}\n" for b, y in zip(fields, signal)))
+    # the run section is read by the two ensemble commands; cce.n_configs
+    # stays at 2 but in its own rows, so a run starts at most 4 processes
+    readers = {**GRID_READERS, "run": ("cce", "cce-converge")}
+    bound = SCHEMA[section][key][2]
+    failures = []
+    for value in INT_GRID_VALUES:
+        if _problem(bound, value) is not None:
+            continue
+        config = {name: dict(keys) for name, keys in GRID_BASE.items()}
+        config["fit"] = {"model": "gaussian_lines", "input_csv": str(lines_csv)}
+        config.setdefault(section, {})[key] = str(value)
+        for command in readers[section]:
+            problems = _grid_row_problems(tmp_path, capsys, command, config)
+            if problems:
+                failures.append((value, command, problems))
+    assert not failures
+
+
 @pytest.mark.parametrize("command", ["levels", "freqmap"])
 def test_descending_field_range_is_usage_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path, f"[{command}]\nb_min_t = 0.5\nb_max_t = 0.1\n")

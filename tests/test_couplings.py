@@ -8,14 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bath_reference import enumerate_pairs, generate_lattice
+from bath_reference import enumerate_pairs, generate_lattice, reference_b, reference_j
 
 from donorspin.bath import (
+    CceParams,
     KohnLuttingerModel,
     LatticeSpec,
+    build_configuration,
     dipolar_b,
     superhyperfine_j,
 )
+from donorspin.constants import SI29_ABUNDANCE
 
 A0 = 0.543
 MODEL = KohnLuttingerModel()
@@ -191,3 +194,56 @@ def test_enumerate_pairs_rejects_non_finite_positions():
         enumerate_pairs(pts, 0.5)
     with pytest.raises(ValueError):
         enumerate_pairs(pts[:2], float("nan"))
+
+
+# the silicon lattice constant and two others, none a power of two in quarters
+A0S = (0.5, A0, 0.61)
+
+
+@st.composite
+def _coupling_points(draw):
+    """(a0, positions): a cube's sites of a0's lattice without the donor,
+    those and one point off the lattice, two sites about 1e4 planes apart
+    (more planes than points), random points off the lattice, or none."""
+    a0 = draw(st.sampled_from(A0S))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("cube", "cube and one off", "far apart", "random", "empty")))
+    if kind == "empty":
+        return a0, np.empty((0, 3))
+    if kind == "random":
+        return a0, rng.uniform(-5.0, 5.0, (draw(st.integers(1, 300)), 3))
+    if kind == "far apart":
+        quarter = a0 / 4.0
+        return a0, np.array([[1.0, 1.0, 0.0], [9999.0, 3.0, 2.0]]) * quarter
+    sites = generate_lattice(LatticeSpec(side_nm=draw(st.integers(2, 6)) * a0, a0_nm=a0))
+    sites = sites[np.any(sites != 0.0, axis=1)]
+    if kind == "cube and one off":
+        sites = np.insert(sites, rng.integers(len(sites) + 1), rng.uniform(0.1, 1.0, 3), axis=0)
+    return a0, sites
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(points=_coupling_points())
+def test_couplings_are_the_plain_arithmetic_bit_for_bit(points):
+    a0, pos = points
+    model = KohnLuttingerModel(a0_nm=a0)
+    assert np.array_equal(superhyperfine_j(pos, model), reference_j(pos, model))
+    direction = np.array([1.0, -1.0, 0.0])
+    assert np.array_equal(dipolar_b(pos[:-1], pos[1:], direction),
+                          reference_b(pos[:-1], pos[1:], direction))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cells=st.integers(2, 12), a0=st.sampled_from(A0S),
+       abundance=st.sampled_from((SI29_ABUNDANCE, 1.0)), seed=st.integers(0, 2**32 - 1))
+@example(cells=12, a0=0.61, abundance=1.0, seed=0)
+@example(cells=11, a0=0.5, abundance=1.0, seed=1)
+def test_build_couplings_are_the_plain_arithmetic_bit_for_bit(cells, a0, abundance, seed):
+    params = CceParams(transition=(11, 10), field_b=0.3446,
+                       lattice=LatticeSpec(side_nm=cells * a0, a0_nm=a0),
+                       time_grid_ms=(0.0, 1.0), seed=seed, abundance=abundance)
+    config = build_configuration(params, 0)
+    pos, pairs = config.positions, config.pair_indices
+    assert np.array_equal(config.couplings_j, reference_j(pos, params.model))
+    assert np.array_equal(config.pair_b, reference_b(pos[pairs[:, 0]], pos[pairs[:, 1]],
+                                                     params.b_direction))
