@@ -53,13 +53,6 @@ class KohnLuttingerModel:
         return ((4.0 * CONSTANTS.vacuum_permeability / 3.0) * self.g_factor
                 * CONSTANTS.bohr_magneton * (CONSTANTS.gyromagnetic_si29 * 1e6) * self.eta)
 
-    def max_abs_j_mhz(self) -> float:
-        """A bound on |J| at every site, by arithmetic: each of the six
-        valley envelopes is at most norm (at the donor), so |psi| is at most
-        6 norm / sqrt(6) and |psi|^2 at most 6 norm^2."""
-        norm = self._envelope()[2]
-        return abs(self.contact_si) * (6.0 * norm * norm) * 1e27 * 1e-6
-
     def _envelope(self) -> tuple[float, float, float]:
         """(na, nb, norm): the shrunken radii in nm and the normalization
         1 / sqrt(pi na^2 nb) in nm^-3/2."""

@@ -32,8 +32,3 @@ class LatticeSpec:
     def cells_per_axis(self) -> int:
         # small slack so side = k * a0 entered in decimal lands on k cells
         return int(np.floor(self.side_nm / self.a0_nm + 1e-9))
-
-    @property
-    def site_count(self) -> int:
-        return 8 * self.cells_per_axis**3
-

@@ -22,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overflow_rules import _bath_distances_fit
+
 import donorspin
 from donorspin import bell_field, concurrence, diagonalize, si_bi
 from donorspin.bath import (
@@ -37,7 +39,7 @@ from donorspin.bath.occupancy import MAX_CELLS_PER_AXIS
 from donorspin.cli import SCHEMA, ConfigError, default_config, load_config, render_config
 from donorspin.cli.config import (
     MAX_SPECTRUM_POINTS,
-    _bath_distances_fit,
+    Interval,
     _problem,
     spectrum_points,
     spin_system,
@@ -157,11 +159,14 @@ def test_resonances_high_floor_empty_but_valid(tmp_path):
     assert signals and all(s == 0.0 for s in signals)
 
 
-@pytest.mark.parametrize("text", ["grid_step_mt = 1e-9", "b_max_t = 1e300",
-                                  "grid_step_mt = 5e-324"])
+@pytest.mark.parametrize("text", [
+    "grid_step_mt = 1e-9",
+    pytest.param("b_max_t = 100\ngrid_step_mt = 0.005", id="100 T span"),
+    "grid_step_mt = 5e-324",
+])
 def test_spectrum_grid_past_its_limit_is_usage_error(tmp_path, capsys, text):
-    # the first two would allocate 4 TiB or overflow linspace; the last
-    # step underflows to 0 T
+    # the first would allocate 4 TiB, the second twice the cap over the
+    # widest field span; the last step underflows to 0 T
     cfg = write_config(tmp_path, f"[resonances]\n{text}\n")
     out = tmp_path / "out"
     assert run_cli("resonances", "--config", cfg, "--out", str(out)) == 2
@@ -804,7 +809,7 @@ def test_largest_cube_is_the_occupancy_work_limit():
 
 
 def test_every_lattice_constant_of_a_real_scale_keeps_the_distance_rule():
-    # validate's a0 rule alone, at the default sides: 1e-3 to 1e3 nm
+    # the retired a0 rule alone, at the default sides, over the cce.a0_nm range
     config = default_config()
     for a0 in np.geomspace(1e-3, 1e3, 25).tolist():
         config["cce"]["a0_nm"] = a0
@@ -814,22 +819,30 @@ def test_every_lattice_constant_of_a_real_scale_keeps_the_distance_rule():
 # a 3 nm cube of 2 configurations on 6 time points, without the fit
 CCE_TINY = "[cce]\nside_nm = 3.0\nn_configs = 2\nt_steps = 6\nfit = false\n"
 
-# one run of every extreme row the config rules and the O(D) pair listing
-# mend: (command, config, exit code, key an exit 2 names). Every field key
-# at 1e306 T is rejected: its Zeeman frequency overflows
+# lines of 1e-6 mT at 1e6 MHz over a 100 T span, and a bath of g = 10 at
+# 100 T with a0 = 1e-3 nm in cubes of 2 and 3 cells, every site a spin
+NARROW_LINES = ("[resonances]\nfrequency_mhz = 1e6\nb_min_t = 0\nb_max_t = 100\nfwhm_mt = 1e-6\n"
+                "grid_step_mt = 100\n")
+HARD_BATH = ("[donor]\ng_factor = 10\nhyperfine_mhz = 1e6\n[converge]\nsides_nm = 2.5e-3 3.5e-3\n"
+             "[cce]\nfield_t = 100\nside_nm = 2.5e-3\na0_nm = 1e-3\nabundance = 1\nn_configs = 2\n"
+             "t_steps = 6\n")
+
+# one run of every extreme row the config ranges and rules and the O(D)
+# pair listing mend: (command, config, exit code, key an exit 2 names).
+# Every field key at 1e306 T is past its 100 T range
 EXTREME_ROWS = [
     ("levels", "[levels]\nb_max_t = 1e306\n", 2, "levels.b_max_t"),
     ("freqmap", "[freqmap]\nb_max_t = 1e306\n", 2, "freqmap.b_max_t"),
     ("rabi", "[rabi]\nfield_t = 1e306\n", 2, "rabi.field_t"),
     ("cce", "[cce]\nfield_t = 1e306\nside_nm = 3.0\nn_configs = 2\nt_steps = 6\nfit = false\n",
      2, "cce.field_t"),
-    # a Zeeman frequency per tesla that underflows, and lines too narrow
+    # a g whose Zeeman frequency per tesla underflows, and lines too narrow
     # for the spectrum to stay finite
     ("resonances", "[donor]\ng_factor = 5e-324\n", 2, "donor.g_factor:"),
     ("resonances", "[resonances]\nfwhm_mt = 5e-324\n", 2, "resonances.fwhm_mt"),
     ("resonances", "[resonances]\nfwhm_mt = 1e-300\n", 2, "resonances.fwhm_mt"),
-    # contact couplings, or echo times, that overflow the echo kernel's
-    # terms, and a time grid whose step underflows
+    # a g, or echo times, that overflow the echo kernel's terms, and a time
+    # grid whose step underflows
     ("cce", "[donor]\ng_factor = 1e80\n" + CCE_TINY, 2, "donor.g_factor:"),
     ("cce", "[donor]\ng_factor = 1e296\n" + CCE_TINY, 2, "donor.g_factor:"),
     ("cce-converge", "[donor]\ng_factor = 1e150\n" + CCE_TINY, 2, "donor.g_factor:"),
@@ -838,15 +851,26 @@ EXTREME_ROWS = [
     ("cce-converge", CCE_TINY + "t_max_ms = 1e300\n", 2, "cce.t_max_ms"),
     ("cce", CCE_TINY + "t_max_ms = 5e-324\n", 2, "cce.t_max_ms"),
     ("cce-converge", CCE_TINY + "t_max_ms = 5e-324\n", 2, "cce.t_max_ms"),
-    # contact couplings this large still keep the kernel's terms finite
-    ("cce", "[donor]\ng_factor = 1e75\n" + CCE_TINY, 0, None),
+    ("cce", "[donor]\ng_factor = 1e75\n" + CCE_TINY, 2, "donor.g_factor:"),
+    # every ranged key at the end its retired overflow rule
+    # (`overflow_rules.py`) found hardest: the Zeeman frequency per tesla
+    # of g = 0.1 against A = 1e6 MHz, quartics of f / A = 1e9, the narrowest
+    # lines over the widest span, levels at 100 T of g = 10 and A = 1e6 MHz,
+    # and the echo kernel's largest J and b over the longest and shortest times
+    ("resonances", "[donor]\ng_factor = 0.1\nhyperfine_mhz = 1e6\n" + NARROW_LINES, 0, None),
+    ("resonances", "[donor]\ng_factor = 10\nhyperfine_mhz = 1e-3\n" + NARROW_LINES, 0, None),
+    ("levels", "[donor]\ng_factor = 10\nhyperfine_mhz = 1e6\n[levels]\nb_max_t = 100\n"
+     "b_steps = 3\n", 0, None),
+    ("cce", HARD_BATH + "t_max_ms = 1e6\n", 0, None),
+    ("cce", HARD_BATH + "t_max_ms = 1e-6\n", 0, None),
+    ("cce-converge", HARD_BATH + "t_max_ms = 1e6\n", 0, None),
     ("resonances", "[resonances]\nfrequency_mhz = 1e300\n", 2, "resonances.frequency_mhz"),
     ("cce", "[cce]\nside_nm = 1e4\n", 2, "cce.side_nm"),
     ("cce", "[cce]\nside_nm = 1e3\n", 2, "cce.side_nm"),
-    ("cce", "[cce]\nside_nm = 1e300\na0_nm = 1e-300\n", 2, "cce.side_nm"),
+    ("cce", "[cce]\nside_nm = 1e300\na0_nm = 1e-300\n", 2, "cce.a0_nm"),
     ("cce-converge", "[converge]\nsides_nm = 3.0 1e3\n", 2, "converge.sides_nm"),
     # lattice constants whose distances overflow or underflow, each in a
-    # 3-cell cube: the a0 rule names the key (the cube rules only mention it)
+    # 3-cell cube: past the a0 range
     ("cce", "[cce]\na0_nm = 1e200\nside_nm = 3e200\n[converge]\nsides_nm = 3e200\n", 2,
      "cce.a0_nm:"),
     ("cce", "[cce]\na0_nm = 1e-30\nside_nm = 3e-30\n[converge]\nsides_nm = 3e-30\n", 2,
@@ -888,7 +912,8 @@ def test_extreme_rows_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch,
             assert all(math.isfinite(float(cell)) for cell in cells)
 
 
-# every float key's extremes, run wherever the key's bound allows them
+# every float key's extremes and the ends of its range, run wherever the
+# key's bound allows them
 GRID_VALUES = (5e-324, -5e-324, 1e-300, -1e-300, 1e-100, 1e-30, -1e-30, 1e30, -1e30, 1e100, 1e200,
                1e300, -1e300, 1.7e308)
 # section -> the commands that read its keys
@@ -960,8 +985,9 @@ def test_every_float_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path, 
     t1_csv.write_text("temp_k,rate_per_s\n" + "".join(
         f"{t!r},{1.26e-5 * t**7 + 3e12 * math.exp(-500.0 / t)!r}\n" for t in temps))
     bound = SCHEMA[section][key][2]
+    ends = (bound.lo, bound.hi) if isinstance(bound, Interval) else ()
     failures = []
-    for value in GRID_VALUES:
+    for value in (*GRID_VALUES, *ends):
         if _problem(bound, value) is not None:
             continue
         config = {name: dict(keys) for name, keys in GRID_BASE.items()}
@@ -1188,29 +1214,30 @@ def test_equal_cce_labels_are_usage_error(tmp_path, capsys):
 FLOAT_TAGS = ("float", "optfloat", "floatlist")
 INT_TAGS = ("int", "intlist")
 FINITE = {"allow_nan": False, "allow_infinity": False}
-
-# bound -> values that break it, by kind; a bound missing here fails the tests below
-FLOATS_OUTSIDE = {
-    None: st.nothing(),
-    "> 0": st.floats(max_value=0.0, **FINITE),
-    ">= 0": st.floats(max_value=0.0, exclude_max=True, **FINITE),
-    "in [0, 1]": st.floats(max_value=0.0, exclude_max=True, **FINITE)
-    | st.floats(min_value=1.0, exclude_min=True, **FINITE),
-    "half-integer >= 1/2": st.floats(max_value=0.5, exclude_max=True, **FINITE)
-    | st.floats(0.5, 1e3).filter(lambda v: 2 * v != math.floor(2 * v)),
-}
-INTS_OUTSIDE = {">= 1": st.integers(max_value=0), ">= 2": st.integers(max_value=1)}
-
-# bound -> values that keep it, by kind
-FLOATS_INSIDE = {
-    None: st.floats(**FINITE),
-    "> 0": st.floats(min_value=0.0, exclude_min=True, **FINITE),
-    ">= 0": st.floats(min_value=0.0, **FINITE),
-    "in [0, 1]": st.floats(0.0, 1.0),
-    "half-integer >= 1/2": st.integers(1, 40).map(lambda n: n / 2),
-}
-INTS_INSIDE = {None: st.integers(), ">= 1": st.integers(min_value=1), ">= 2": st.integers(min_value=2)}
 TEXT = st.text(string.ascii_letters + string.digits + "/._-", min_size=1, max_size=20)
+
+
+def _numbers(tag, bound: Interval, inside: bool):
+    """Numbers of the key's kind inside bound, or finite ones outside it:
+    below its low end, above a finite high end, and for a half-integer
+    bound the numbers between its half-integers."""
+    finite_hi = bound.hi < math.inf
+    if tag in INT_TAGS:
+        lo = math.floor(bound.lo) + 1 if bound.lo_open else math.ceil(bound.lo)
+        hi = math.floor(bound.hi) if finite_hi else None
+        if inside:
+            return st.integers(lo, hi)
+        return st.integers(max_value=lo - 1) | (st.integers(min_value=hi + 1) if finite_hi
+                                                 else st.nothing())
+    if bound.half_integer and inside:
+        return st.integers(math.ceil(2 * bound.lo), 40).map(lambda n: n / 2)
+    if inside:
+        return st.floats(bound.lo, bound.hi, exclude_min=bound.lo_open, **FINITE)
+    below = st.floats(max_value=bound.lo, exclude_max=not bound.lo_open, **FINITE)
+    above = st.floats(min_value=bound.hi, exclude_min=True, **FINITE) if finite_hi else st.nothing()
+    between = (st.floats(bound.lo, 1e3).filter(lambda v: 2 * v != math.floor(2 * v))
+               if bound.half_integer else st.nothing())
+    return below | above | between
 
 
 def _scalar(tag, bound, inside):
@@ -1218,11 +1245,15 @@ def _scalar(tag, bound, inside):
         if inside:
             return st.sampled_from(bound)
         return st.integers(-50, 50).filter(lambda v: v not in bound)
-    if tag in FLOAT_TAGS:
-        if inside:
-            return FLOATS_INSIDE[bound]
-        return FLOATS_OUTSIDE[bound] | st.sampled_from([math.nan, math.inf, -math.inf])
-    return (INTS_INSIDE if inside else INTS_OUTSIDE)[bound]
+    if isinstance(bound, Interval):
+        values = _numbers(tag, bound, inside)
+    elif not inside:  # no bound: every finite value keeps it
+        values = st.nothing()
+    else:
+        values = st.floats(**FINITE) if tag in FLOAT_TAGS else st.integers()
+    if tag in FLOAT_TAGS and not inside:
+        return values | st.sampled_from([math.nan, math.inf, -math.inf])
+    return values
 
 
 def _rendered(tag, values) -> str:

@@ -13,12 +13,11 @@ A0 = 0.543
 def test_two_cell_cube_has_64_sites():
     sites = generate_lattice(LatticeSpec(side_nm=2 * A0))
     assert len(sites) == 64
-    assert LatticeSpec(side_nm=2 * A0).site_count == 64
 
 
 def test_site_count_rule():
     # whole cells only: floor(side/a0)^3 cells, 8 sites each
-    assert LatticeSpec(side_nm=27.8).site_count == 8 * 51**3 == 1_061_208
+    assert LatticeSpec(side_nm=27.8).cells_per_axis == 51
     spec = LatticeSpec(side_nm=3.0)
     assert spec.cells_per_axis == 5
     assert len(generate_lattice(spec)) == 8 * 5**3
