@@ -13,7 +13,7 @@ from .ensemble import (
     ensemble_echo,
 )
 from .lattice import LatticeSpec
-from .occupancy import BathConfiguration, occupied_positions
+from .occupancy import BathConfiguration, occupied_sites
 
 __all__ = [
     "BathConfiguration",
@@ -30,7 +30,7 @@ __all__ = [
     "convergence_study",
     "dipolar_b",
     "ensemble_echo",
-    "occupied_positions",
+    "occupied_sites",
     "pair_echo",
     "superhyperfine_j",
 ]

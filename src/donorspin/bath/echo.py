@@ -31,9 +31,6 @@ import numpy as np
 
 from .occupancy import BathConfiguration
 
-# basis order |uu>, |ud>, |du>, |dd>; z-projections of the two spins
-_IKZ = np.array([0.5, 0.5, -0.5, -0.5])
-_ILZ = np.array([0.5, -0.5, 0.5, -0.5])
 # a pair whose loss stays below 2^-54 has 1 - loss == 1.0 exactly
 _EXACT_ONE_LOSS = 2.0**-54
 # steps between exact re-seeds of the kernel's (sin, cos) rotation
@@ -62,25 +59,6 @@ class EchoCurve:
         for arr in (self.times_ms, self.amplitude, self.std_of_mean):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
-
-
-def _pair_hamiltonians(
-    j_k: np.ndarray, j_l: np.ndarray, b: np.ndarray, s: float, f_z: float
-) -> np.ndarray:
-    """(P, 4, 4) conditioned Hamiltonians for donor level with <Sz> = s.
-
-    The kernel does not use it: it is the reference Hamiltonian from
-    which the tests build their brute-force echo oracles.
-    """
-    hk = f_z + s * j_k
-    hl = f_z + s * j_l
-    n = len(hk)
-    h = np.zeros((n, 4, 4))
-    diag = hk[:, None] * _IKZ[None, :] + hl[:, None] * _ILZ[None, :]
-    diag = diag + b[:, None] * (_IKZ * _ILZ)[None, :]
-    h[:, np.arange(4), np.arange(4)] = diag
-    h[:, 1, 2] = h[:, 2, 1] = -0.25 * b
-    return h
 
 
 def _uniform_step_us(tau_us: np.ndarray) -> float | None:

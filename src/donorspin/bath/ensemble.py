@@ -17,14 +17,7 @@ from ..spin import SpinSystem, si_bi
 from .couplings import KohnLuttingerModel, dipolar_b, superhyperfine_j
 from .echo import EchoCurve, _pair_products
 from .lattice import LatticeSpec
-from .occupancy import (
-    BathConfiguration,
-    _lattice_pairs,
-    _quarters,
-    _within,
-    in_cube,
-    occupied_positions,
-)
+from .occupancy import BathConfiguration, _lattice_pairs, _within, in_cube, occupied_sites
 
 # exact neighbor-shell radii of the diamond lattice, in units of a0
 SECOND_NN_FACTOR = math.sqrt(2.0) / 2.0
@@ -76,12 +69,14 @@ def build_configuration(params: CceParams, config_index: int) -> BathConfigurati
     """Bath placement number config_index (seeded seed + index), fully coupled:
     its occupied sites, their J, the pairs within params.pair_cutoff_nm and
     their dipolar b. The pairs come from the lattice the sites were drawn
-    from (`_lattice_pairs`)."""
-    pos = occupied_positions(params.lattice, params.abundance, params.seed + config_index)
-    pairs = _lattice_pairs(pos, params.lattice, params.pair_cutoff_nm)
+    from (`_lattice_pairs`); the sites' positions in nm, formed after the
+    search, feed only J and b."""
+    sites = occupied_sites(params.lattice, params.abundance, params.seed + config_index)
+    pairs = _lattice_pairs(sites, params.lattice, params.pair_cutoff_nm)
+    pos = sites * (params.lattice.a0_nm / 4.0)
     direction = np.asarray(params.b_direction, dtype=float)
     return BathConfiguration(
-        positions=pos,
+        sites=sites,
         couplings_j=superhyperfine_j(pos, params.model),
         pair_indices=pairs,
         pair_b=np.asarray(dipolar_b(pos[pairs[:, 0]], pos[pairs[:, 1]], direction)),
@@ -105,28 +100,26 @@ def _config_curves(
     The placement is built and its pair echoes evaluated once, at the
     largest cube and the largest cutoff. A smaller cube's sites are the
     placement's sites within its box, in the same cell-major order, with
-    the same positions, J and b (`in_cube`). The largest cutoff's pairs
-    are all the pairs; a smaller cutoff's are those whose quarter-grid
-    offset passes `_within` at it, the rule of a build at that cutoff. So
-    each curve, the product over the pairs with both sites in the cube
-    and within the cutoff, is exactly the echo of a build at that cube and
-    cutoff. The kernel forms every product in its one pass over the times.
+    the same J and b (`in_cube`). The largest cutoff's pairs are all the
+    pairs; a smaller cutoff's are those whose quarter-grid offset passes
+    `_within` at it, the rule of a build at that cutoff. So each curve,
+    the product over the pairs with both sites in the cube and within the
+    cutoff, is exactly the echo of a build at that cube and cutoff. The
+    kernel forms every product in its one pass over the times.
     """
     params, index, cubes, cutoffs, s_a, s_b = args
     top = max(cutoffs)
     config = build_configuration(dataclasses.replace(params, lattice=cubes[0], r_max_nm=top), index)
-    pos, pairs = config.positions, config.pair_indices
+    sites, pairs = config.sites, config.pair_indices
     within = {top: np.ones(len(pairs), dtype=bool)}
     if len(cutoffs) > 1:
-        a0 = params.lattice.a0_nm
-        q = _quarters(pos, a0)
-        offset = q[pairs[:, 1]] - q[pairs[:, 0]]
+        offset = sites[pairs[:, 1]] - sites[pairs[:, 0]]
         q2 = np.sum(offset * offset, axis=1)
-        within.update((r, _within(q2, a0, r)) for r in cutoffs if r < top)
+        within.update((r, _within(q2, params.lattice.a0_nm, r)) for r in cutoffs if r < top)
     masks = {}
     for k, cube in enumerate(cubes):
         # pairs with both sites in the cube; the largest holds every site
-        inside = in_cube(pos, cube)[pairs].all(axis=1) if k else True
+        inside = in_cube(sites, cube)[pairs].all(axis=1) if k else True
         for r in cutoffs:
             masks[(cube.cells_per_axis, r)] = within[r] & inside
     rows = _pair_products(config, s_a, s_b, params.time_grid_ms, np.array(list(masks.values())))

@@ -10,13 +10,14 @@ as 1, 2, 3", SC'11). That holds site for site between cubes whose cell
 counts share parity. An odd count puts the donor on the other fcc
 sublattice of the diamond lattice, so across parity only the sites on the
 donor's own sublattice recur; the other sublattice's donor-relative
-positions of the two cubes are disjoint.
+sites of the two cubes are disjoint.
 
-`occupied_positions` draws the decisions straight from the integer
-lattice, one x-plane of cells at a time, and keeps only the occupied
-sites. `in_cube` selects a smaller cube of the same parity from a larger
-cube's sites. `_lattice_pairs` finds a placement's pairs on the same
-integer layout, by a diamond-site stencil.
+`occupied_sites` draws the decisions straight from the integer lattice,
+one x-plane of cells at a time, and keeps only the occupied sites, as
+their donor-relative quarter-grid coordinates; a site sits at
+q (a0/4) nm. `in_cube` selects a smaller cube of the same parity from a
+larger cube's sites. `_lattice_pairs` finds a placement's pairs on the
+same integer grid, by a diamond-site stencil.
 """
 
 from __future__ import annotations
@@ -52,17 +53,17 @@ _RANK_MAP_SITES = 1 << 22
 
 @dataclasses.dataclass(frozen=True)
 class BathConfiguration:
-    """One random placement of bath spins, coupled: donor-relative
-    positions in nm, their contact couplings J, and the pairs with their
-    dipolar b."""
+    """One random placement of bath spins, coupled: donor-relative sites
+    on the quarter-cell grid (site q sits at q (a0/4) nm), their contact
+    couplings J, and the pairs with their dipolar b."""
 
-    positions: np.ndarray       # (N, 3) nm
+    sites: np.ndarray           # (N, 3) int64 quarters of a0
     couplings_j: np.ndarray     # (N,) MHz
-    pair_indices: np.ndarray    # (P, 2) indices into positions
+    pair_indices: np.ndarray    # (P, 2) indices into sites
     pair_b: np.ndarray          # (P,) MHz
 
     def __post_init__(self):
-        for arr in (self.positions, self.couplings_j, self.pair_indices, self.pair_b):
+        for arr in (self.sites, self.couplings_j, self.pair_indices, self.pair_b):
             arr.setflags(write=False)
 
 
@@ -88,11 +89,6 @@ def _pack_keys(q: np.ndarray) -> np.ndarray:
 _DONOR_KEY = _pack_keys(np.zeros((1, 3), dtype=np.int64))[0]
 
 
-def _quarters(positions: np.ndarray, a0_nm: float) -> np.ndarray:
-    """(N, 3) integer quarter-grid coordinates of donor-relative positions (nm)."""
-    return np.rint(positions * (4.0 / a0_nm)).astype(np.int64)
-
-
 def _donor_offset(cells: int) -> int:
     """Quarter steps from the cube's low corner to its donor along each axis.
 
@@ -104,17 +100,16 @@ def _donor_offset(cells: int) -> int:
     return 2 * cells - cells % 2
 
 
-def in_cube(positions: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """(N,) whether each donor-relative position (nm) lies in spec's cube,
-    quarter coordinates [-D, 4n - 1 - D] on each axis for n cells.
+def in_cube(sites: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """(N,) whether each donor-relative site (quarter-grid coordinates)
+    lies in spec's cube, [-D, 4n - 1 - D] on each axis for n cells.
 
     Cubes of n and m cells of one parity have donor offsets 2 (n - m)
     apart, a whole number of cells, so the smaller cube's sites are
     exactly the larger cube's sites in its span.
     """
     low = -_donor_offset(spec.cells_per_axis)
-    q = _quarters(np.asarray(positions, dtype=float), spec.a0_nm)
-    return np.all((q >= low) & (q < low + 4 * spec.cells_per_axis), axis=1)
+    return np.all((sites >= low) & (sites < low + 4 * spec.cells_per_axis), axis=1)
 
 
 def _chooser(abundance: float, seed: int) -> Callable[..., np.ndarray]:
@@ -140,10 +135,11 @@ def _chooser(abundance: float, seed: int) -> Callable[..., np.ndarray]:
     return chosen
 
 
-def occupied_positions(
+def occupied_sites(
     spec: LatticeSpec, abundance: float = SI29_ABUNDANCE, seed: int = 0
 ) -> np.ndarray:
-    """Donor-relative positions (nm) of the occupied sites of the cube.
+    """(N, 3) int64 donor-relative quarter-grid coordinates of the occupied
+    sites of the cube.
 
     Sites come in cell-major, basis-minor order, and the full site array
     is never built: the cube is walked one x-plane of cells at a time on
@@ -176,7 +172,7 @@ def occupied_positions(
         q = np.compress(chosen(keys, stream), q0, axis=0)
         q[:, 0] += 4 * i
         chunks.append(q)
-    return np.concatenate(chunks) * (spec.a0_nm / 4.0)
+    return np.concatenate(chunks)
 
 
 PAIR_D2_TOL_NM2 = 1e-9  # squared-distance slack when classifying shells
@@ -192,13 +188,13 @@ def _within(k: np.ndarray, a0_nm: float, r_max_nm: float) -> np.ndarray:
     return k * (a0_nm / 4.0) ** 2 <= r_max_nm * r_max_nm + PAIR_D2_TOL_NM2
 
 
-def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) -> np.ndarray:
+def _lattice_pairs(sites: np.ndarray, spec: LatticeSpec, r_max_nm: float) -> np.ndarray:
     """All index pairs of spec's cube sites within r_max: rows (i, j) with
     i < j in lexicographic order, dtype np.intp.
 
-    positions are donor-relative sites of the cube (nm), any subset in
-    `occupied_positions` order. Each site gets an index on the cube padded by
-    m = ceil(r/a0) + 1 cells per face, w = n + 2m cells per axis:
+    sites are donor-relative quarter-grid coordinates of the cube, any
+    subset in `occupied_sites` order. Each site gets an index on the cube
+    padded by m = ceil(r/a0) + 1 cells per face, w = n + 2m cells per axis:
     ((cx w + cy) w + cz) 8 + basis, which in that order strictly ascends.
     A diamond site's partners within r_max sit at fixed index steps that
     depend on its basis site only; the stencil keeps the forward ones
@@ -214,21 +210,24 @@ def _lattice_pairs(positions: np.ndarray, spec: LatticeSpec, r_max_nm: float) ->
     """
     if not r_max_nm > 0:
         raise ValueError("pair cutoff must be positive")
-    n = len(positions)
+    n = len(sites)
     if n < 2:
         return np.empty((0, 2), dtype=np.intp)
     cells, a0 = spec.cells_per_axis, spec.a0_nm
     pad = math.ceil(r_max_nm / a0) + 1
     width = cells + 2 * pad
-    padded = _quarters(positions, a0) + (_donor_offset(cells) + 4 * pad)
+    padded = sites + (_donor_offset(cells) + 4 * pad)
     x, y, z = padded.T
     basis = _BASIS_INDEX[(x & 3) * 16 + (y & 3) * 4 + (z & 3)]
     if np.any(basis < 0) or np.any((padded < 4 * pad) | (padded >= 4 * (pad + cells))):
-        raise ValueError("positions must be sites of the cube")
+        raise ValueError("coordinates must be sites of the cube")
     strides = np.array([width * width, width, 1])
     site = (((x >> 2) * width + (y >> 2)) * width + (z >> 2)) * 8 + basis
     if np.any(site[1:] <= site[:-1]):
-        raise ValueError("positions must be distinct sites in occupancy's order")
+        raise ValueError("coordinates must be distinct sites in occupancy's order")
+    # the stencil reads only each site's index and basis: freeing the (N, 3)
+    # coordinates before its temporaries lowers a build's peak memory
+    del padded, x, y, z
 
     # stencil: basis site b to basis site t of the cell `shift` cells away
     shift = np.indices((2 * pad + 1,) * 3).reshape(3, -1).T - pad

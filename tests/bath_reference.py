@@ -1,13 +1,16 @@
 """Brute-force bath references that the production path is tested against.
 
-Builds draw their sites from the integer lattice one x-plane at a time
-(`occupancy.occupied_positions`) and find their pairs with a stencil on
-that lattice (`occupancy._lattice_pairs`). The functions here do the
-same work the plain way, on an explicit array of every site of the cube:
-`generate_lattice` lists the sites, `occupy` applies the per-site coin
-flips to them, and `enumerate_pairs` finds the pairs of any point set.
-`reference_j` and `reference_b` are the couplings' plain arithmetic:
-np.cos at every point and numpy's reductions over the coordinate axis.
+Builds draw their sites from the integer lattice one x-plane at a time,
+as quarter-grid coordinates (`occupancy.occupied_sites`), and find their
+pairs with a stencil on that grid (`occupancy._lattice_pairs`). The
+functions here do the same work the plain way, in nm, on an explicit
+array of every site of the cube: `generate_lattice` lists the sites,
+`occupy` applies the per-site coin flips to them, and `enumerate_pairs`
+finds the pairs of any point set. A build's sites times a0/4 are
+`occupy`'s positions bit for bit. `reference_j` and `reference_b` are
+the couplings' plain arithmetic: np.cos at every point and numpy's
+reductions over the coordinate axis. `_pair_hamiltonians` is the pair's
+4x4 Hamiltonian, from which the echo oracles are built.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ import numpy as np
 
 from donorspin.bath import KohnLuttingerModel, LatticeSpec
 from donorspin.bath.couplings import DIPOLAR_MHZ_NM3
-from donorspin.bath.occupancy import PAIR_D2_TOL_NM2, _chooser, _pack_keys, _quarters
+from donorspin.bath.occupancy import PAIR_D2_TOL_NM2, _chooser, _pack_keys
 from donorspin.constants import SI29_ABUNDANCE, SI_LATTICE_NM
 
+# basis order |uu>, |ud>, |du>, |dd>; z-projections of the two spins
+_IKZ = np.array([0.5, 0.5, -0.5, -0.5])
+_ILZ = np.array([0.5, -0.5, 0.5, -0.5])
 # 8-atom basis of the conventional diamond-cubic cell, in units of a0
 _BASIS = np.array(
     [
@@ -57,9 +63,14 @@ def generate_lattice(spec: LatticeSpec) -> np.ndarray:
     return (sites - donor) * spec.a0_nm
 
 
+def quarter_sites(positions: np.ndarray, a0_nm: float) -> np.ndarray:
+    """(N, 3) int64 quarter-grid coordinates of donor-relative positions (nm)."""
+    return np.rint(positions * (4.0 / a0_nm)).astype(np.int64)
+
+
 def _site_keys(positions: np.ndarray, a0_nm: float) -> np.ndarray:
     """Canonical uint64 index per site from donor-relative positions (nm)."""
-    return _pack_keys(_quarters(positions, a0_nm))
+    return _pack_keys(quarter_sites(positions, a0_nm))
 
 
 class Occupied(NamedTuple):
@@ -171,3 +182,22 @@ def reference_b(
     cos_theta = (delta @ direction) / r
     out = -DIPOLAR_MHZ_NM3 * (1.0 - 3.0 * cos_theta * cos_theta) / r**3
     return float(out[0]) if np.ndim(pos_k) == 1 and np.ndim(pos_l) == 1 else out
+
+
+def _pair_hamiltonians(
+    j_k: np.ndarray, j_l: np.ndarray, b: np.ndarray, s: float, f_z: float
+) -> np.ndarray:
+    """(P, 4, 4) conditioned Hamiltonians for donor level with <Sz> = s.
+
+    The kernel does not use it: it is the reference Hamiltonian from
+    which the tests build their brute-force echo oracles.
+    """
+    hk = f_z + s * j_k
+    hl = f_z + s * j_l
+    n = len(hk)
+    h = np.zeros((n, 4, 4))
+    diag = hk[:, None] * _IKZ[None, :] + hl[:, None] * _ILZ[None, :]
+    diag = diag + b[:, None] * (_IKZ * _ILZ)[None, :]
+    h[:, np.arange(4), np.arange(4)] = diag
+    h[:, 1, 2] = h[:, 2, 1] = -0.25 * b
+    return h

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from bath_reference import _pair_hamiltonians
+
 from donorspin import (
     build_hamiltonian,
     concurrence,
@@ -32,7 +34,6 @@ from donorspin.bath import (
     ensemble_echo,
     pair_echo,
 )
-from donorspin.bath.echo import _pair_hamiltonians
 from donorspin.cli.main import main as cli_main
 from donorspin.constants import SI_LATTICE_NM
 from donorspin.fitting import (

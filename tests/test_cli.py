@@ -382,10 +382,11 @@ def test_cce_couplings_use_the_configured_lattice_and_g(tmp_path):
     written = _echo_amplitudes(tmp_path / "echo.csv")
     assert written == ensemble_echo(params).amplitude.tolist()
     config = build_configuration(params, 0)
-    want = superhyperfine_j(config.positions, KohnLuttingerModel(a0_nm=a0_nm, g_factor=g_factor))
+    pos = config.sites * (a0_nm / 4.0)
+    want = superhyperfine_j(pos, KohnLuttingerModel(a0_nm=a0_nm, g_factor=g_factor))
     assert np.array_equal(config.couplings_j, want)
     for stale in (KohnLuttingerModel(a0_nm=a0_nm), KohnLuttingerModel(g_factor=g_factor)):
-        assert not np.array_equal(config.couplings_j, superhyperfine_j(config.positions, stale))
+        assert not np.array_equal(config.couplings_j, superhyperfine_j(pos, stale))
 
 
 @pytest.mark.parametrize("t_steps", ["2", "5"])
@@ -826,6 +827,10 @@ NARROW_LINES = ("[resonances]\nfrequency_mhz = 1e6\nb_min_t = 0\nb_max_t = 100\n
 HARD_BATH = ("[donor]\ng_factor = 10\nhyperfine_mhz = 1e6\n[converge]\nsides_nm = 2.5e-3 3.5e-3\n"
              "[cce]\nfield_t = 100\nside_nm = 2.5e-3\na0_nm = 1e-3\nabundance = 1\nn_configs = 2\n"
              "t_steps = 6\n")
+# the other end of the a0 range: a0 = 1e3 nm in cubes of 2 and 3 cells,
+# every site a spin
+WIDE_BATH = ("[converge]\nsides_nm = 2.5e3 3.5e3\n[cce]\nside_nm = 2.5e3\na0_nm = 1e3\n"
+             "abundance = 1\nn_configs = 2\nt_steps = 6\nfit = false\n")
 
 # one run of every extreme row the config ranges and rules and the O(D)
 # pair listing mend: (command, config, exit code, key an exit 2 names).
@@ -864,6 +869,8 @@ EXTREME_ROWS = [
     ("cce", HARD_BATH + "t_max_ms = 1e6\n", 0, None),
     ("cce", HARD_BATH + "t_max_ms = 1e-6\n", 0, None),
     ("cce-converge", HARD_BATH + "t_max_ms = 1e6\n", 0, None),
+    ("cce", WIDE_BATH, 0, None),
+    ("cce-converge", WIDE_BATH, 0, None),
     ("resonances", "[resonances]\nfrequency_mhz = 1e300\n", 2, "resonances.frequency_mhz"),
     ("cce", "[cce]\nside_nm = 1e4\n", 2, "cce.side_nm"),
     ("cce", "[cce]\nside_nm = 1e3\n", 2, "cce.side_nm"),

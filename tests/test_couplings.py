@@ -243,7 +243,7 @@ def test_build_couplings_are_the_plain_arithmetic_bit_for_bit(cells, a0, abundan
                        lattice=LatticeSpec(side_nm=cells * a0, a0_nm=a0),
                        time_grid_ms=(0.0, 1.0), seed=seed, abundance=abundance)
     config = build_configuration(params, 0)
-    pos, pairs = config.positions, config.pair_indices
+    pos, pairs = config.sites * (a0 / 4.0), config.pair_indices
     assert np.array_equal(config.couplings_j, reference_j(pos, params.model))
     assert np.array_equal(config.pair_b, reference_b(pos[pairs[:, 0]], pos[pairs[:, 1]],
                                                      params.b_direction))

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from bath_reference import _pair_hamiltonians
+
 from donorspin.bath import BathConfiguration, cce2_echo, echo, pair_echo
-from donorspin.bath.echo import EchoCurve, _pair_hamiltonians
+from donorspin.bath.echo import EchoCurve
 
 TIMES = np.array([0.0, 0.05, 0.2, 0.7, 1.5])
 
@@ -133,7 +135,7 @@ def test_single_spin_cluster_factor_is_one():
 def _toy_config(pair_count):
     rng = np.random.default_rng(9)
     return BathConfiguration(
-        positions=np.zeros((2 * pair_count, 3)),
+        sites=np.zeros((2 * pair_count, 3), dtype=np.int64),
         couplings_j=rng.normal(0.0, 0.5, 2 * pair_count),
         pair_indices=np.arange(2 * pair_count, dtype=np.intp).reshape(-1, 2),
         pair_b=rng.normal(0.0, 5e-4, pair_count),
@@ -144,7 +146,7 @@ def test_cce2_product_structure():
     single = _toy_config(1)
     double = dataclasses.replace(
         single,
-        positions=np.vstack([single.positions, single.positions]),
+        sites=np.vstack([single.sites, single.sites]),
         couplings_j=np.concatenate([single.couplings_j, single.couplings_j]),
         pair_indices=np.vstack([single.pair_indices, single.pair_indices + 2]),
         pair_b=np.concatenate([single.pair_b, single.pair_b]),
@@ -163,9 +165,9 @@ def test_cce2_product_structure():
 def test_cce2_empty_and_unbuilt_configs():
     # a configuration is always coupled: it cannot be made from sites alone
     with pytest.raises(TypeError):
-        BathConfiguration(positions=np.empty((0, 3)))
+        BathConfiguration(sites=np.empty((0, 3), dtype=np.int64))
     built = BathConfiguration(
-        positions=np.empty((0, 3)),
+        sites=np.empty((0, 3), dtype=np.int64),
         couplings_j=np.empty(0),
         pair_indices=np.empty((0, 2), dtype=np.intp),
         pair_b=np.empty(0),

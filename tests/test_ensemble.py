@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bath_reference import enumerate_pairs, generate_lattice, occupy
+from bath_reference import enumerate_pairs, generate_lattice, occupy, quarter_sites
 
 from donorspin import diagonalize, expectation_sz, si_bi
 from donorspin.bath import (
@@ -65,7 +65,9 @@ def test_configs_are_seeded_sequentially():
     sites = generate_lattice(params.lattice)
     direct = occupy(sites, params.abundance, params.seed + 2, params.lattice.a0_nm)
     built = build_configuration(params, 2)
-    assert np.array_equal(direct.positions, built.positions)
+    assert built.sites.dtype == np.int64
+    positions = built.sites * (params.lattice.a0_nm / 4.0)
+    assert positions.tobytes() == direct.positions.tobytes()
 
 
 def test_determinism_and_worker_independence():
@@ -92,13 +94,10 @@ def test_ensemble_curve_shape():
 def test_built_configuration_is_consistent():
     params = _params()
     config = build_configuration(params, 0)
-    assert config.couplings_j.shape == (len(config.positions),)
+    assert config.couplings_j.shape == (len(config.sites),)
     assert config.pair_b.shape == (len(config.pair_indices),)
-    d = np.linalg.norm(
-        config.positions[config.pair_indices[:, 0]]
-        - config.positions[config.pair_indices[:, 1]],
-        axis=1,
-    )
+    pos = config.sites * (params.lattice.a0_nm / 4.0)
+    d = np.linalg.norm(pos[config.pair_indices[:, 0]] - pos[config.pair_indices[:, 1]], axis=1)
     assert np.all(d**2 <= params.pair_cutoff_nm**2 + 1e-9)
 
 
@@ -126,7 +125,7 @@ def test_convergence_study_rejects_labels_outside_the_donor(transition):
 def test_empty_bath_is_fully_coupled_and_does_not_decay():
     params = _params(abundance=0.0, n_configs=2)
     config = build_configuration(params, 0)
-    assert config.positions.shape == (0, 3)
+    assert config.sites.shape == (0, 3)
     assert len(config.couplings_j) == len(config.pair_indices) == len(config.pair_b) == 0
     assert np.all(ensemble_echo(params).amplitude == 1.0)
 
@@ -169,7 +168,7 @@ def _oracle_curve(params, side, r_max, s_a, s_b):
         pairs = enumerate_pairs(pos, r_max)
         b = dipolar_b(pos[pairs[:, 0]], pos[pairs[:, 1]], np.asarray(params.b_direction))
         config = BathConfiguration(
-            positions=pos, couplings_j=superhyperfine_j(pos, params.model),
+            sites=quarter_sites(pos, spec.a0_nm), couplings_j=superhyperfine_j(pos, params.model),
             pair_indices=pairs, pair_b=b,
         )
         curves.append(cce2_echo(config, s_a, s_b, np.asarray(TIMES)).amplitude)
@@ -299,7 +298,7 @@ def test_builds_and_studies_equal_the_reference_search_and_oracle_curves():
     want = {(side, r_max): _oracle_curve(params, side, r_max, s_a, s_b)
             for side in sides for r_max in cutoffs}
     built = build_configuration(params, 1)
-    pairs = enumerate_pairs(built.positions, params.pair_cutoff_nm)
+    pairs = enumerate_pairs(built.sites * (params.lattice.a0_nm / 4.0), params.pair_cutoff_nm)
     assert np.array_equal(build_configuration(params, 1).pair_indices, pairs)
     for workers in (1, 2):
         study = convergence_study(params, sides, cutoffs, workers=workers)

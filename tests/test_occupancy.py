@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bath_reference import _site_keys, enumerate_pairs, generate_lattice, occupy
+from bath_reference import _site_keys, enumerate_pairs, generate_lattice, occupy, quarter_sites
 
-from donorspin.bath import CceParams, LatticeSpec, build_configuration, occupied_positions
+from donorspin.bath import CceParams, LatticeSpec, build_configuration, occupied_sites
 from donorspin.bath import occupancy
 from donorspin.bath.occupancy import (
     _DONOR_KEY,
@@ -92,7 +92,7 @@ def test_common_random_numbers_across_sizes():
 
 
 def _occupied_set(side_nm, seed):
-    return _quarters(occupied_positions(LatticeSpec(side_nm=side_nm), seed=seed))
+    return set(map(tuple, occupied_sites(LatticeSpec(side_nm=side_nm), seed=seed).tolist()))
 
 
 def _site_set(side_nm):
@@ -121,12 +121,13 @@ def test_smaller_cube_of_one_parity_is_the_larger_cube_in_its_box(large, small):
     sites = generate_lattice(small_spec)
     low, high = sites.min(axis=0), sites.max(axis=0)
     for seed in (3, 77):
-        occ_large = occupied_positions(large_spec, 0.3, seed)
-        box = np.all((occ_large >= low) & (occ_large <= high), axis=1)
-        # the same sites in the same order, bit for bit
-        assert np.array_equal(occupied_positions(small_spec, 0.3, seed), occ_large[box])
+        occ_large = occupied_sites(large_spec, 0.3, seed)
+        pos = occ_large * (A0 / 4.0)
+        box = np.all((pos >= low) & (pos <= high), axis=1)
+        # the same sites in the same order
+        assert np.array_equal(occupied_sites(small_spec, 0.3, seed), occ_large[box])
         assert np.array_equal(in_cube(occ_large, small_spec), box)
-    assert np.all(in_cube(generate_lattice(large_spec), large_spec))
+    assert np.all(in_cube(quarter_sites(generate_lattice(large_spec), A0), large_spec))
 
 
 @pytest.mark.parametrize("large, small", [(14.0, 10.0), (18.0, 10.0), (14.0, 7.0)])
@@ -151,7 +152,7 @@ def test_positions_are_read_only():
     params = CceParams(transition=(11, 10), field_b=0.3446, lattice=LatticeSpec(side_nm=3.0),
                        time_grid_ms=(0.0, 0.1), abundance=0.5)
     config = build_configuration(params, 0)
-    arrays = (config.positions, config.couplings_j, config.pair_indices, config.pair_b)
+    arrays = (config.sites, config.couplings_j, config.pair_indices, config.pair_b)
     assert all(len(arr) for arr in arrays)
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -171,17 +172,20 @@ def test_streamed_occupancy_equals_occupy_of_the_full_lattice(cells, a0_nm, seed
     spec = LatticeSpec(side_nm=(cells + 0.5) * a0_nm, a0_nm=a0_nm)
     assert spec.cells_per_axis == cells
     direct = occupy(generate_lattice(spec), abundance, seed, a0_nm).positions
-    streamed = occupied_positions(spec, abundance, seed)
+    sites = occupied_sites(spec, abundance, seed)
+    assert sites.dtype == np.int64
+    # a site sits at q (a0/4) nm: the reference's floats, bit for bit
+    streamed = sites * (a0_nm / 4.0)
     assert streamed.shape == direct.shape
     assert streamed.tobytes() == direct.tobytes()
 
 
 def test_streamed_occupancy_checks_its_inputs():
     with pytest.raises(ValueError, match="abundance"):
-        occupied_positions(LatticeSpec(side_nm=3.0), 1.5, seed=0)
+        occupied_sites(LatticeSpec(side_nm=3.0), 1.5, seed=0)
     # 2^19 cells per axis: rejected before any plane is built
     with pytest.raises(ValueError, match="too large"):
-        occupied_positions(LatticeSpec(side_nm=A0 * (2**19 + 0.5)), 0.05, seed=0)
+        occupied_sites(LatticeSpec(side_nm=A0 * (2**19 + 0.5)), 0.05, seed=0)
 
 
 def _splitmix64(x):
@@ -249,15 +253,15 @@ def test_lattice_pairs_equal_enumerate_pairs(cells, a0_nm, abundance, seed, shuf
     # a sparse cube's sites are taken a slab of x-planes at a time
     spec = LatticeSpec(side_nm=(cells + 0.5) * a0_nm, a0_nm=a0_nm)
     assert spec.cells_per_axis == cells
-    pos = occupied_positions(spec, abundance, seed)
+    sites = occupied_sites(spec, abundance, seed)
     if shuffle is not None:
         # any subset, in occupancy's order
         rng = np.random.default_rng(shuffle)
-        pos = pos[np.sort(rng.permutation(len(pos))[: len(pos) // 2])]
+        sites = sites[np.sort(rng.permutation(len(sites))[: len(sites) // 2])]
     for r_max in [*_shell_radii(a0_nm), 0.3, 0.7, 1.1]:
-        want = enumerate_pairs(pos, r_max)
+        want = enumerate_pairs(sites * (a0_nm / 4.0), r_max)
         with mock.patch.object(occupancy, "_RANK_MAP_SITES", map_sites):
-            got = _lattice_pairs(pos, spec, r_max)
+            got = _lattice_pairs(sites, spec, r_max)
         assert got.dtype == np.intp
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -266,39 +270,40 @@ def test_lattice_pairs_equal_enumerate_pairs(cells, a0_nm, abundance, seed, shuf
 def test_lattice_pairs_refuse_sites_out_of_occupancy_order():
     # a full 3-cell cube: shuffled, or with one site repeated next to itself
     spec = LatticeSpec(side_nm=3 * A0)
-    sites = occupied_positions(spec, 1.0, seed=0)
+    sites = occupied_sites(spec, 1.0, seed=0)
     r_max = _shell_radii(A0)[1]
     shuffled = sites[np.random.default_rng(5).permutation(len(sites))]
     repeated = np.insert(sites, 100, sites[100], axis=0)
-    for positions in (shuffled, repeated):
+    for misordered in (shuffled, repeated):
         with pytest.raises(ValueError, match="occupancy's order"):
-            _lattice_pairs(positions, spec, r_max)
+            _lattice_pairs(misordered, spec, r_max)
 
 
 def test_rank_map_of_a_sparse_bath_does_not_grow_with_the_cube():
     # 110 cells: one map of the padded cube would take 8 * 116^3 * 4 B = 50 MB
     spec = LatticeSpec(side_nm=60.0)
-    pos = occupied_positions(spec, 0.001, seed=3)
+    sites = occupied_sites(spec, 0.001, seed=3)
     r_max = _shell_radii(A0)[1]
     tracemalloc.start()
     try:
-        got = _lattice_pairs(pos, spec, r_max)
+        got = _lattice_pairs(sites, spec, r_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * occupancy._RANK_MAP_SITES + 8e6
-    assert np.array_equal(got, enumerate_pairs(pos, r_max))
+    assert np.array_equal(got, enumerate_pairs(sites * (A0 / 4.0), r_max))
 
 
 def test_lattice_pairs_take_sites_of_their_cube_only():
     spec = LatticeSpec(side_nm=3 * A0)
-    sites = generate_lattice(spec)
+    positions = generate_lattice(spec)
+    sites = quarter_sites(positions, A0)
     r_max = _shell_radii(A0)[1]
-    assert len(_lattice_pairs(sites, spec, r_max)) == len(enumerate_pairs(sites, r_max))
+    assert len(_lattice_pairs(sites, spec, r_max)) == len(enumerate_pairs(positions, r_max))
     with pytest.raises(ValueError, match="sites of the cube"):
-        _lattice_pairs(sites + A0 / 8, spec, r_max)   # off the diamond lattice
+        _lattice_pairs(sites + [1, 0, 0], spec, r_max)   # off the diamond lattice
     with pytest.raises(ValueError, match="sites of the cube"):
-        _lattice_pairs(sites + 3 * A0, spec, r_max)   # outside the cube
+        _lattice_pairs(sites + 12, spec, r_max)   # outside the cube, 3 cells on
     with pytest.raises(ValueError, match="positive"):
         _lattice_pairs(sites, spec, 0.0)
     assert _lattice_pairs(sites[:1], spec, r_max).shape == (0, 2)
