@@ -12,27 +12,16 @@ nucleus (the default donor is Si:Bi, I = 9/2), covering
 Conventions: energies are E/h in MHz, fields in tesla, echo times in ms.
 """
 
-from .constants import CONSTANTS, PhysicalConstants
-from .doublet import (
-    DoubletParams,
-    bell_field,
-    doublet_energies,
-    doublet_params,
-    doublet_state,
-    unmixed_energies,
-)
-from .spin import (
-    DonorEigensystem,
-    SpinOperators,
-    SpinSystem,
-    build_hamiltonian,
-    concurrence,
-    diagonalize,
-    expectation_sz,
-    si_bi,
-    spin_matrices,
-    spin_operators,
-)
+from ._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".constants": ("CONSTANTS", "PhysicalConstants"),
+    ".doublet": ("DoubletParams", "bell_field", "doublet_energies", "doublet_params",
+                 "doublet_state", "unmixed_energies"),
+    ".spin": ("DonorEigensystem", "SpinOperators", "SpinSystem", "build_hamiltonian",
+              "concurrence", "diagonalize", "expectation_sz", "si_bi", "spin_matrices",
+              "spin_operators"),
+})
 
 __version__ = "0.1.0"
 

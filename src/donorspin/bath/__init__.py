@@ -1,19 +1,15 @@
 """Nuclear spin bath: lattice, occupancy, couplings, pair echoes, ensembles."""
 
-from .couplings import KohnLuttingerModel, dipolar_b, superhyperfine_j
-from .echo import EchoCurve, cce2_echo, pair_echo
-from .ensemble import (
-    PAIR_SHELLS,
-    SECOND_NN_FACTOR,
-    THIRD_NN_FACTOR,
-    CceParams,
-    ConvergenceResult,
-    build_configuration,
-    convergence_study,
-    ensemble_echo,
-)
-from .lattice import LatticeSpec
-from .occupancy import BathConfiguration, occupied_sites
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".couplings": ("KohnLuttingerModel", "dipolar_b", "superhyperfine_j"),
+    ".echo": ("EchoCurve", "cce2_echo", "pair_echo"),
+    ".ensemble": ("CceParams", "ConvergenceResult", "build_configuration",
+                  "convergence_study", "ensemble_echo"),
+    ".lattice": ("PAIR_SHELLS", "SECOND_NN_FACTOR", "THIRD_NN_FACTOR", "LatticeSpec"),
+    ".occupancy": ("BathConfiguration", "occupied_sites"),
+})
 
 __all__ = [
     "BathConfiguration",

@@ -6,7 +6,6 @@ import dataclasses
 import math
 import signal
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import ClassVar
 
 import numpy as np
@@ -16,14 +15,9 @@ from ..doublet import check_labels, level_table
 from ..spin import SpinSystem, si_bi
 from .couplings import KohnLuttingerModel, dipolar_b, superhyperfine_j
 from .echo import EchoCurve, _pair_products
-from .lattice import LatticeSpec
+# SECOND_NN_FACTOR is imported from here as well as from lattice
+from .lattice import SECOND_NN_FACTOR, THIRD_NN_FACTOR, LatticeSpec
 from .occupancy import BathConfiguration, _lattice_pairs, _within, in_cube, occupied_sites
-
-# exact neighbor-shell radii of the diamond lattice, in units of a0
-SECOND_NN_FACTOR = math.sqrt(2.0) / 2.0
-THIRD_NN_FACTOR = math.sqrt(11.0) / 4.0
-# pair shell -> its cutoff radius in units of a0: the shells a run may name
-PAIR_SHELLS = {2: SECOND_NN_FACTOR, 3: THIRD_NN_FACTOR}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,7 +138,8 @@ def _pool_map(tasks: list, pool_size: int) -> list:
     BLAS pool's) may take the signal and Python then runs the handler in
     the main thread. A SIGTERM pending or recorded, like a failed task,
     cancels the queued tasks and lets the running ones finish; the mask and
-    handler are then restored and the signal raised again.
+    handler are then restored and the signal raised again. The pool's
+    modules load here, with SIGTERM held back, and only for a pooled run.
     """
     previous = signal.getsignal(signal.SIGTERM)
     stand_in = (threading.current_thread() is threading.main_thread()
@@ -154,6 +149,8 @@ def _pool_map(tasks: list, pool_size: int) -> list:
         signal.signal(signal.SIGTERM, lambda signum, frame: received.append(signum))
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
         pool = ProcessPoolExecutor(max_workers=pool_size, initializer=_start_worker)
         try:
             futures = [pool.submit(_config_curves, task) for task in tasks]

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from ..constants import SI_LATTICE_NM
+
+# exact neighbor-shell radii of the diamond lattice, in units of a0
+SECOND_NN_FACTOR = math.sqrt(2.0) / 2.0
+THIRD_NN_FACTOR = math.sqrt(11.0) / 4.0
+# pair shell -> its cutoff radius in units of a0: the shells a run may name
+PAIR_SHELLS = {2: SECOND_NN_FACTOR, 3: THIRD_NN_FACTOR}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,16 +20,16 @@ import dataclasses
 import math
 from typing import Any
 
-from ..bath import PAIR_SHELLS, LatticeSpec
+from ..bath.lattice import PAIR_SHELLS, LatticeSpec
 from ..constants import (
     BI_G_FACTOR,
     BI_HYPERFINE_MHZ,
     BI_NUCLEAR_SPIN,
     BI_NUCLEAR_ZEEMAN_DELTA,
+    ECHO_MIN_POINTS,
     SI29_ABUNDANCE,
     SI_LATTICE_NM,
 )
-from ..fitting.routines import ECHO_MIN_POINTS
 from ..spectra import INTENSITY_FLOOR, sx_matrix_element
 from ..spin import SpinSystem
 

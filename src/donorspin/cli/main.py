@@ -8,6 +8,10 @@ once it returns, writes the outputs in order and the manifest last, so
 a command that fails leaves no output behind. Manifests echo the fully
 resolved config plus per-output checksums, so a run can be reproduced
 bit-exactly from its manifest alone.
+
+A handler imports the bath, fitting and spectra layers it calls when it
+runs, from the module that defines each name, so a command loads only
+the layers it runs.
 """
 
 from __future__ import annotations
@@ -26,23 +30,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..bath import PAIR_SHELLS, CceParams, LatticeSpec, convergence_study
-from ..fitting import (
-    FitResult,
-    fit_echo_decay,
-    fit_exp_recovery,
-    fit_gaussian_lines,
-    fit_t1_temperature,
-    rabi_peak,
-)
-from ..spectra import (
-    find_all_resonances,
-    frequency_field_map,
-    rabi_frequency,
-    sx_matrix_element,
-    synthesize_spectrum,
-)
+from ..bath.lattice import PAIR_SHELLS, LatticeSpec
 from ..doublet import level_table
+from . import _terminated
 from .config import (
     ConfigError,
     converge_echo_name,
@@ -95,7 +85,7 @@ def _write(path: str, content: Any) -> None:
             fh.write("\n")
 
 
-def _fit_result_payload(result: FitResult) -> dict[str, Any]:
+def _fit_result_payload(result) -> dict[str, Any]:
     payload = dataclasses.asdict(result)
     del payload["cost_history"], payload["fitted"]
     return payload
@@ -117,6 +107,8 @@ def cmd_levels(config) -> CommandResult:
 
 
 def cmd_resonances(config) -> CommandResult:
+    from ..spectra import find_all_resonances, synthesize_spectrum
+
     system = spin_system(config)
     section = config["resonances"]
     transitions = find_all_resonances(
@@ -134,6 +126,8 @@ def cmd_resonances(config) -> CommandResult:
 
 
 def cmd_freqmap(config) -> CommandResult:
+    from ..spectra import frequency_field_map
+
     system = spin_system(config)
     grid = _field_grid(config["freqmap"])
     table = frequency_field_map(system, grid, intensity_floor=config["freqmap"]["intensity_floor"])
@@ -143,6 +137,8 @@ def cmd_freqmap(config) -> CommandResult:
 
 
 def cmd_rabi(config) -> CommandResult:
+    from ..spectra import rabi_frequency, sx_matrix_element
+
     system = spin_system(config)
     section = config["rabi"]
     upper, lower = section["label_upper"], section["label_lower"]
@@ -159,6 +155,8 @@ def cmd_rabi(config) -> CommandResult:
         "pi_time_ns": 1e3 / (2.0 * rabi_mhz),
     }
     if section["input_csv"] is not None:
+        from ..fitting.routines import rabi_peak
+
         with _about_input("rabi.input_csv"):
             data = _read_columns(section["input_csv"], ("time_us", "signal"))
             payload["measured_mhz"] = rabi_peak(data["time_us"], data["signal"])
@@ -170,7 +168,9 @@ def _shell_cutoff_nm(config, shell: int) -> float:
     return PAIR_SHELLS[shell] * config["cce"]["a0_nm"]
 
 
-def _cce_params(config) -> CceParams:
+def _cce_params(config):
+    from ..bath.ensemble import CceParams
+
     section = config["cce"]
     times = tuple(float(t) for t in np.linspace(0.0, section["t_max_ms"], section["t_steps"]))
     return CceParams(
@@ -187,6 +187,12 @@ def _cce_params(config) -> CceParams:
 
 
 def cmd_cce(config) -> CommandResult:
+    from ..bath.ensemble import convergence_study
+
+    if config["cce"]["fit"]:
+        # loaded before the ensemble: loaded after it, the fit routines
+        # raised the peak memory of a full-scale run by 0.1-0.2 MB
+        from ..fitting.routines import fit_echo_decay
     params = _cce_params(config)
     # the one-side, one-shell case of a convergence study
     key = (params.lattice.side_nm, params.pair_cutoff_nm)
@@ -202,6 +208,8 @@ def cmd_cce(config) -> CommandResult:
 
 
 def cmd_cce_converge(config) -> CommandResult:
+    from ..bath.ensemble import convergence_study
+
     params = _cce_params(config)
     section = config["converge"]
     resolved = [_shell_cutoff_nm(config, shell) for shell in section["shells"]]
@@ -251,15 +259,16 @@ def _read_columns(path: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
     return columns
 
 
-# fit.model -> (x, y) columns of its input csv, the fit routine, and the
-# routine's keyword arguments by the [fit] key that sets each
+# fit.model -> (x, y) columns of its input csv, the name of the fit
+# routine in fitting.routines, and the routine's keyword arguments by the
+# [fit] key that sets each
 FIT_MODELS = {
-    "echo_decay": ("time_ms", "amplitude", fit_echo_decay,
+    "echo_decay": ("time_ms", "amplitude", "fit_echo_decay",
                    {"free_amplitude": "free_amplitude"}),
-    "t1_raman_orbach": ("temp_k", "rate_per_s", fit_t1_temperature,
+    "t1_raman_orbach": ("temp_k", "rate_per_s", "fit_t1_temperature",
                         {"delta_fixed_k": "fix_delta_k"}),
-    "exp_recovery": ("time_ms", "magnetization", fit_exp_recovery, {}),
-    "gaussian_lines": ("field_t", "signal", fit_gaussian_lines,
+    "exp_recovery": ("time_ms", "magnetization", "fit_exp_recovery", {}),
+    "gaussian_lines": ("field_t", "signal", "fit_gaussian_lines",
                        {"n_lines": "n_lines", "mode": "mode"}),
 }
 
@@ -268,7 +277,10 @@ def cmd_fit(config) -> CommandResult:
     section = config["fit"]
     if section["input_csv"] is None:
         raise ConfigError("fit.input_csv: required for the fit command")
-    x_name, y_name, routine, keys = FIT_MODELS[section["model"]]
+    from ..fitting import routines
+
+    x_name, y_name, routine_name, keys = FIT_MODELS[section["model"]]
+    routine = getattr(routines, routine_name)
     with _about_input("fit.input_csv"):
         data = _read_columns(section["input_csv"], (x_name, y_name))
         x, y = data[x_name], data[y_name]
@@ -311,6 +323,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(text: str) -> None:
+    """Write text to stdout now. One that cannot take it is a usage error,
+    and the process's stdout then discards what is left, so no failed
+    flush at exit changes the exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise ConfigError(f"cannot write to stdout: {exc}") from None
+
+
 def _unusable_out_dir(exc: OSError) -> ConfigError:
     return ConfigError(f"run.out_dir: cannot use {exc.filename!r}: {exc.strerror}")
 
@@ -319,13 +347,6 @@ def _unusable_out_dir(exc: OSError) -> ConfigError:
 def _parser() -> argparse.ArgumentParser:
     """The one parser of the process; parsing leaves no state on it."""
     return build_parser()
-
-
-def _terminated(signum, frame):
-    # a second SIGTERM (`timeout` sends one to the process and one to its
-    # group) must not cut short the shutdown of the workers
-    signal.signal(signum, signal.SIG_IGN)
-    raise SystemExit(128 + signum)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -355,7 +376,7 @@ def _run(argv: list[str] | None) -> int:
             config["fit"]["fix_delta_k"] = args.fix_delta
         validate(config)
         if args.command == "print-config":
-            sys.stdout.write(render_config(config))
+            _print(render_config(config))
             return 0
         started = time.monotonic()
         out_dir = config["run"]["out_dir"]

@@ -1,4 +1,4 @@
-"""Physical constants (CODATA 2018) and donor defaults.
+"""Physical constants (CODATA 2018), donor defaults and the echo fit's data need.
 
 All frequencies in this package are ordinary frequencies (MHz), magnetic
 fields are tesla, times are stated per signature (ms for echo curves,
@@ -38,3 +38,7 @@ BI_NUCLEAR_SPIN = 4.5
 
 SI29_ABUNDANCE = 0.0467          # natural 29Si fraction
 SI_LATTICE_NM = 0.543            # conventional cubic cell edge a0
+
+# an echo fit has 4 parameters and needs spare points; the config checks
+# cce.t_steps against it without loading the fit routines
+ECHO_MIN_POINTS = 6

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from ..constants import ECHO_MIN_POINTS
 from .leastsq import FitResult, build_result, condition_number, levenberg_fit
 from .models import (
     echo_decay,
@@ -19,7 +20,6 @@ from .models import (
 
 ECHO_START_EXPONENTS = (1.5, 2.0, 2.5, 3.0, 3.5)
 T2_EFFECTIVELY_INFINITE_MS = 1e6  # 1e3 s; fits beyond this are unbounded
-ECHO_MIN_POINTS = 6                # an echo fit has 4 parameters and needs spare points
 FWHM_INIT_MT = 0.7                 # starting width of every fitted Gaussian line
 
 

@@ -3,6 +3,8 @@
 import contextlib
 import csv
 import dataclasses
+import errno
+import importlib
 import io
 import json
 import math
@@ -442,7 +444,7 @@ def test_cce_failing_fit_leaves_no_output(tmp_path, capsys, monkeypatch):
     def broken_fit(*args, **kwargs):
         raise ValueError("fit failed")
 
-    monkeypatch.setattr("donorspin.cli.main.fit_echo_decay", broken_fit)
+    monkeypatch.setattr("donorspin.fitting.routines.fit_echo_decay", broken_fit)
     cfg = write_config(tmp_path, CCE_SMALL.replace("fit = false", "fit = true"))
     out = tmp_path / "out"
     assert run_cli("cce", "--config", cfg, "--out", str(out)) == 2
@@ -458,7 +460,7 @@ def test_unusable_out_dir_is_usage_error_before_any_compute(
         raise AssertionError("computed before the output directory was checked")
 
     monkeypatch.setattr("donorspin.cli.main.level_table", no_compute)
-    monkeypatch.setattr("donorspin.cli.main.convergence_study", no_compute)
+    monkeypatch.setattr("donorspin.bath.ensemble.convergence_study", no_compute)
     blocker = tmp_path / "F"
     blocker.write_text("keep\n")
     out = blocker / "sub" if inside else blocker
@@ -1140,6 +1142,137 @@ def test_python_dash_m_main_module_runs_without_warning():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "[run]" in proc.stdout
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports donorspin from this checkout."""
+    src = os.path.dirname(os.path.dirname(donorspin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=False)
+
+
+# run through an entry point in a fresh interpreter, print-config prints
+# whether SIGTERM had a handler when numpy began to load
+_HANDLER_AT_NUMPY = """
+import importlib, runpy, signal, sys
+seen = []
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not seen:
+        seen.append(signal.getsignal(signal.SIGTERM))
+sys.addaudithook(hook)
+entry, sys.argv = sys.argv[1], ["donorspin", "print-config"]
+try:
+    if entry == "-m":
+        runpy.run_module("donorspin.cli", run_name="__main__")
+    else:
+        module, function = entry.split(":")
+        getattr(importlib.import_module(module), function)()
+except SystemExit:
+    pass
+print("handled" if seen and seen[0] is not signal.SIG_DFL else f"default: {seen}", file=sys.stderr)
+"""
+
+
+def _script_entry() -> str:
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject) as fh:
+        return re.search(r'^donorspin = "([\w.]+:\w+)"$', fh.read(), re.M).group(1)
+
+
+@pytest.mark.parametrize("entry", ["-m", "script"])
+def test_sigterm_is_handled_before_numpy_loads(entry):
+    # a SIGTERM while the CLI loads its modules must end the run with 143
+    # too, so the handler is in place before the first heavy import
+    proc = _python("-c", _HANDLER_AT_NUMPY, _script_entry() if entry == "script" else entry)
+    assert "[run]" in proc.stdout, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "handled"
+
+
+@pytest.mark.parametrize("package", ["donorspin", "donorspin.bath", "donorspin.cli",
+                                     "donorspin.fitting"])
+def test_every_export_resolves_on_first_access(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name) is not None
+    with pytest.raises(AttributeError):
+        module.no_such_name
+
+
+def _bath_beyond_lattice(modules: set[str]) -> bool:
+    return bool({m for m in modules if m.startswith("donorspin.bath.")}
+                - {"donorspin.bath.lattice"})
+
+
+def _loads(modules: set[str], *packages: str) -> bool:
+    return any(m == p or m.startswith(p + ".") for m in modules for p in packages)
+
+
+# argv and config of a small run, then whether it loads a bath module beyond
+# the lattice, any of fitting, and the pool's machinery (None: either way)
+IMPORT_CONTRACT = {
+    "levels": (["levels"], "[levels]\nb_steps = 3\n", False, False, False),
+    "resonances": (["resonances"], "", False, False, False),
+    "freqmap": (["freqmap"], "[freqmap]\nb_steps = 3\n", False, False, False),
+    "print-config": (["print-config"], "", False, False, False),
+    "rabi": (["rabi"], "", False, False, False),
+    "fit": (["fit"], OUTPUT_RUNS["fit"], False, True, False),
+    "cce-nofit": (["cce"], CCE_TINY, True, False, False),
+    "cce-fit": (["cce"], CCE_TINY.replace("fit = false", "fit = true"), True, True, False),
+    "cce-converge": (["cce-converge"], CCE_TINY + "[converge]\nsides_nm = 2.0 3.0\n",
+                     True, False, False),
+    "cce-pool": (["cce", "--workers", "2"], CCE_TINY, True, False, True),
+}
+
+
+@pytest.mark.parametrize("run", sorted(IMPORT_CONTRACT))
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, run):
+    argv, config, bath, fitting, pool = IMPORT_CONTRACT[run]
+    cfg = write_config(tmp_path, config)
+    proc = _python("-c", "import sys; from donorspin.cli.main import main; "
+                   "code = main(sys.argv[1:]); print(*sorted(sys.modules)); sys.exit(code)",
+                   *argv, "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert "donorspin.cli.main" in modules
+    assert _bath_beyond_lattice(modules) == bath
+    assert _loads(modules, "donorspin.fitting") == fitting
+    assert _loads(modules, "concurrent.futures", "multiprocessing") == pool
+    # a pooled run does load the pool, so the serial runs' False means something
+    assert ("concurrent.futures.process" in modules) == pool
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_print_config_to_a_full_stdout_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert run_cli("print-config") == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot write to stdout: [Errno {errno.ENOSPC}] "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_print_config_to_dev_full_exits_2(unbuffered):
+    # buffered, the text left over would fail again at exit (status 120)
+    src = os.path.dirname(os.path.dirname(donorspin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "donorspin.cli", "print-config"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_cli_import_does_not_load_scipy():
