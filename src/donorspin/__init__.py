@@ -14,7 +14,7 @@ Conventions: energies are E/h in MHz, fields in tesla, echo times in ms.
 
 from ._lazy import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+__getattr__, __all__ = lazy_exports(__name__, {
     ".constants": ("CONSTANTS", "PhysicalConstants"),
     ".doublet": ("DoubletParams", "bell_field", "doublet_energies", "doublet_params",
                  "doublet_state", "unmixed_energies"),
@@ -24,25 +24,4 @@ __getattr__ = lazy_exports(__name__, {
 })
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CONSTANTS",
-    "PhysicalConstants",
-    "SpinSystem",
-    "SpinOperators",
-    "DonorEigensystem",
-    "si_bi",
-    "spin_matrices",
-    "spin_operators",
-    "build_hamiltonian",
-    "diagonalize",
-    "expectation_sz",
-    "concurrence",
-    "DoubletParams",
-    "doublet_params",
-    "doublet_energies",
-    "doublet_state",
-    "unmixed_energies",
-    "bell_field",
-    "__version__",
-]
+__all__.append("__version__")

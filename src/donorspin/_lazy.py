@@ -8,9 +8,9 @@ import importlib
 def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
     """A module `__getattr__` for package that resolves each name listed
     under a submodule (`{".spin": ("SpinSystem", ...)}`) by importing that
-    submodule. Nothing is cached on the package: every access reads the
-    submodule's attribute, so a name patched there is seen through the
-    package too."""
+    submodule, and the package's `__all__`: those names in table order.
+    Nothing is cached on the package: every access reads the submodule's
+    attribute, so a name patched there is seen through the package too."""
     home = {name: module for module, names in exports.items() for name in names}
 
     def __getattr__(name: str):
@@ -18,4 +18,4 @@ def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
         return getattr(importlib.import_module(home[name], package), name)
 
-    return __getattr__
+    return __getattr__, list(home)

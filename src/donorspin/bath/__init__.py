@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+__getattr__, __all__ = lazy_exports(__name__, {
     ".couplings": ("KohnLuttingerModel", "dipolar_b", "superhyperfine_j"),
     ".echo": ("EchoCurve", "cce2_echo", "pair_echo"),
     ".ensemble": ("CceParams", "ConvergenceResult", "build_configuration",
@@ -10,23 +10,3 @@ __getattr__ = lazy_exports(__name__, {
     ".lattice": ("PAIR_SHELLS", "SECOND_NN_FACTOR", "THIRD_NN_FACTOR", "LatticeSpec"),
     ".occupancy": ("BathConfiguration", "occupied_sites"),
 })
-
-__all__ = [
-    "BathConfiguration",
-    "CceParams",
-    "ConvergenceResult",
-    "EchoCurve",
-    "KohnLuttingerModel",
-    "LatticeSpec",
-    "PAIR_SHELLS",
-    "SECOND_NN_FACTOR",
-    "THIRD_NN_FACTOR",
-    "build_configuration",
-    "cce2_echo",
-    "convergence_study",
-    "dipolar_b",
-    "ensemble_echo",
-    "occupied_sites",
-    "pair_echo",
-    "superhyperfine_j",
-]

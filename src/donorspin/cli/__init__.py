@@ -4,21 +4,10 @@ import signal
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+__getattr__, __all__ = lazy_exports(__name__, {
     ".config": ("ConfigError", "SCHEMA", "default_config", "load_config", "render_config"),
     ".manifest": ("build_manifest", "file_sha256", "json_ready"),
 })
-
-__all__ = [
-    "ConfigError",
-    "SCHEMA",
-    "build_manifest",
-    "default_config",
-    "file_sha256",
-    "json_ready",
-    "load_config",
-    "render_config",
-]
 
 
 def _terminated(signum, frame):

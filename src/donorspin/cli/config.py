@@ -8,9 +8,9 @@ finite, every value keeps its key's bound (a list key applies it to each
 entry and may not be empty), then the cross-key `RULES` hold.
 
 A numeric key's bound is an `Interval`. The float keys that reach the
-Zeeman, level, resonance, line-shape and bath arithmetic are held to a
-physical range, wide around Si:Bi, inside which all of that arithmetic
-stays finite.
+Zeeman, level, resonance, line-shape, Rabi and bath arithmetic are held
+to a physical range, wide around Si:Bi, inside which all of that
+arithmetic stays finite.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from ..constants import (
     BI_NUCLEAR_SPIN,
     BI_NUCLEAR_ZEEMAN_DELTA,
     ECHO_MIN_POINTS,
+    INTENSITY_FLOOR,
     SI29_ABUNDANCE,
     SI_LATTICE_NM,
 )
-from ..spectra import INTENSITY_FLOOR, sx_matrix_element
+from ..doublet import level_table
 from ..spin import SpinSystem
 
 
@@ -62,6 +63,19 @@ POSITIVE = Interval(0.0, lo_open=True)
 NOT_NEGATIVE = Interval(0.0)
 AT_LEAST_1 = Interval(1)
 FIELD_T = Interval(0.0, 100.0)
+
+# fit.model -> (x, y) columns of its input csv, the name of the fit
+# routine in fitting.routines, and the routine's keyword arguments by the
+# [fit] key that sets each
+FIT_MODELS = {
+    "echo_decay": ("time_ms", "amplitude", "fit_echo_decay",
+                   {"free_amplitude": "free_amplitude"}),
+    "t1_raman_orbach": ("temp_k", "rate_per_s", "fit_t1_temperature",
+                        {"delta_fixed_k": "fix_delta_k"}),
+    "exp_recovery": ("time_ms", "magnetization", "fit_exp_recovery", {}),
+    "gaussian_lines": ("field_t", "signal", "fit_gaussian_lines",
+                       {"n_lines": "n_lines", "mode": "mode"}),
+}
 
 # section -> key -> (type tag, default, bound); a bound is an Interval,
 # the tuple of allowed values, or None (any finite value)
@@ -100,7 +114,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
         "label_upper": ("int", 11, AT_LEAST_1),
         "label_lower": ("int", 10, AT_LEAST_1),
         "field_t": ("float", 0.3446, FIELD_T),
-        "f1_mhz": ("float", 15.625, POSITIVE),
+        "f1_mhz": ("float", 15.625, Interval(1e-6, 1e6)),
         "input_csv": ("optstr", None, None),
     },
     "cce": {
@@ -121,8 +135,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any, Any]]] = {
         "shells": ("intlist", tuple(PAIR_SHELLS), tuple(PAIR_SHELLS)),
     },
     "fit": {
-        "model": ("str", "echo_decay",
-                  ("echo_decay", "t1_raman_orbach", "exp_recovery", "gaussian_lines")),
+        "model": ("str", "echo_decay", tuple(FIT_MODELS)),
         "input_csv": ("optstr", None, None),
         "fix_delta_k": ("optfloat", None, POSITIVE),
         "n_lines": ("int", 2, AT_LEAST_1),
@@ -186,8 +199,11 @@ def _labels_of_donor(config, section: str) -> bool:
 
 def _rabi_coupled(config) -> bool:
     rabi = config["rabi"]
-    return _labels_of_donor(config, "rabi") and sx_matrix_element(
-        spin_system(config), rabi["label_upper"], rabi["label_lower"], rabi["field_t"]) != 0.0
+    if not _labels_of_donor(config, "rabi"):
+        return False
+    # the drive's |<upper| Sx x 1 |lower>|, read as spectra.sx_matrix_element reads it
+    table = level_table(spin_system(config), rabi["field_t"])
+    return table.pair(rabi["label_upper"], rabi["label_lower"], 0)[2] != 0.0
 
 
 # (error naming the keys, formatted with the config and the donor's

@@ -34,6 +34,7 @@ from ..bath.lattice import PAIR_SHELLS, LatticeSpec
 from ..doublet import level_table
 from . import _terminated
 from .config import (
+    FIT_MODELS,
     ConfigError,
     converge_echo_name,
     load_config,
@@ -257,20 +258,6 @@ def _read_columns(path: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"{path}: column {name} has non-numeric entries")
     return columns
-
-
-# fit.model -> (x, y) columns of its input csv, the name of the fit
-# routine in fitting.routines, and the routine's keyword arguments by the
-# [fit] key that sets each
-FIT_MODELS = {
-    "echo_decay": ("time_ms", "amplitude", "fit_echo_decay",
-                   {"free_amplitude": "free_amplitude"}),
-    "t1_raman_orbach": ("temp_k", "rate_per_s", "fit_t1_temperature",
-                        {"delta_fixed_k": "fix_delta_k"}),
-    "exp_recovery": ("time_ms", "magnetization", "fit_exp_recovery", {}),
-    "gaussian_lines": ("field_t", "signal", "fit_gaussian_lines",
-                       {"n_lines": "n_lines", "mode": "mode"}),
-}
 
 
 def cmd_fit(config) -> CommandResult:

@@ -1,4 +1,5 @@
-"""Physical constants (CODATA 2018), donor defaults and the echo fit's data need.
+"""Physical constants (CODATA 2018), donor defaults, the echo fit's data need
+and the default intensity floor of a line.
 
 All frequencies in this package are ordinary frequencies (MHz), magnetic
 fields are tesla, times are stated per signature (ms for echo curves,
@@ -42,3 +43,7 @@ SI_LATTICE_NM = 0.543            # conventional cubic cell edge a0
 # an echo fit has 4 parameters and needs spare points; the config checks
 # cce.t_steps against it without loading the fit routines
 ECHO_MIN_POINTS = 6
+
+# default cut on a line's intensity |<Sx>|^2 (scale: max is 1/4); the
+# config's default, read without loading the spectra
+INTENSITY_FLOOR = 1e-4

@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+__getattr__, __all__ = lazy_exports(__name__, {
     ".leastsq": ("COST_TOL", "LAMBDA_LIMIT", "MAX_ITERATIONS", "STEP_TOL", "FitResult",
                  "levenberg_fit"),
     ".models": ("FWHM_TO_SIGMA", "echo_decay", "exp_recovery", "gaussian_area",
@@ -11,28 +11,3 @@ __getattr__ = lazy_exports(__name__, {
                   "fit_exp_recovery", "fit_gaussian_lines", "fit_t1_temperature", "rabi_peak",
                   "subtract_linear_baseline", "t2_effectively_infinite"),
 })
-
-__all__ = [
-    "COST_TOL",
-    "ECHO_START_EXPONENTS",
-    "FWHM_TO_SIGMA",
-    "FitResult",
-    "LAMBDA_LIMIT",
-    "MAX_ITERATIONS",
-    "STEP_TOL",
-    "T2_EFFECTIVELY_INFINITE_MS",
-    "echo_decay",
-    "exp_recovery",
-    "fit_echo_decay",
-    "fit_exp_recovery",
-    "fit_gaussian_lines",
-    "fit_t1_temperature",
-    "gaussian_area",
-    "gaussian_derivative_sum",
-    "gaussian_sum",
-    "levenberg_fit",
-    "rabi_peak",
-    "subtract_linear_baseline",
-    "t1_rate",
-    "t2_effectively_infinite",
-]

@@ -21,10 +21,10 @@ import math
 
 import numpy as np
 
+from .constants import INTENSITY_FLOOR
 from .doublet import check_labels, label_structure, level_table
 from .spin import SpinSystem
 
-INTENSITY_FLOOR = 1e-4      # default cut on |<Sx>|^2 (scale: max is 1/4)
 ROOT_TOL_MHZ = 1e-6         # a polynomial root must solve E_i - E_j = +-f this well
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from overflow_rules import _bath_distances_fit
@@ -1044,6 +1045,92 @@ def test_every_int_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path, ca
     assert not failures
 
 
+def _grid_ends(tag, bound) -> tuple:
+    """A key's grid values and the ends of its bound, those the bound allows."""
+    if isinstance(bound, tuple):
+        ends = (bound[0], bound[-1])
+    elif isinstance(bound, Interval):
+        ends = tuple(end for end in (bound.lo, bound.hi) if math.isfinite(end))
+    else:
+        ends = ()
+    if "float" in tag:
+        return tuple(v for v in (*GRID_VALUES, *ends) if _problem(bound, v) is None)
+    return tuple(v for v in (*INT_GRID_VALUES, *map(int, ends)) if _problem(bound, v) is None)
+
+
+# the commands that read each float and int key, [run]'s those of the
+# ensembles; the [fit] section's two (fit.fix_delta_k, fit.n_lines) are
+# read by different fit models and share the fit command with no other
+# key, so the grid leaves them out
+KEY_READERS = {**GRID_READERS, "run": ("cce", "cce-converge")}
+TWO_KEY_READERS = {(section, key): KEY_READERS[section]
+                   for section, key in (*GRID_KEYS, *INT_GRID_KEYS) if section != "fit"}
+TWO_KEY_PAIRS = [(a, b) for a, b in itertools.combinations(TWO_KEY_READERS, 2)
+                 if set(TWO_KEY_READERS[a]) & set(TWO_KEY_READERS[b])]
+
+
+def _pool_run(tmp_path, command, config):
+    """(cce.n_configs, cell-parity classes, worker processes) of the pool
+    that command starts on config, or None if it starts none: a rule
+    rejects the config, the command runs no ensemble, or its tasks (one
+    per class and configuration) or run.workers number 1."""
+    cfg = tmp_path / "pool.ini"
+    cfg.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in config.items()))
+    try:
+        loaded = load_config(str(cfg))
+        validate(loaded)
+    except ConfigError:
+        return None
+    if command not in ("cce", "cce-converge"):
+        return None
+    cce = loaded["cce"]
+    sides = loaded["converge"]["sides_nm"] if command == "cce-converge" else (cce["side_nm"],)
+    classes = len({LatticeSpec(side_nm=side, a0_nm=cce["a0_nm"]).cells_per_axis % 2
+                   for side in sides})
+    workers = min(loaded["run"]["workers"], cce["n_configs"] * classes)
+    return (cce["n_configs"], classes, workers) if workers > 1 else None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_two_keys_at_their_extremes_keep_the_exit_code_contract(tmp_path, capsys, data):
+    # two keys that one command reads, each at a grid value or a range end,
+    # run through every command that reads both
+    first, second = data.draw(st.sampled_from(TWO_KEY_PAIRS), label="keys")
+    config = {name: dict(keys) for name, keys in GRID_BASE.items()}
+    for section, key in (first, second):
+        tag, _, bound = SCHEMA[section][key]
+        value = data.draw(st.sampled_from(_grid_ends(tag, bound)), label=f"{section}.{key}")
+        config.setdefault(section, {})[key] = repr(value) if "float" in tag else str(value)
+    failures = []
+    for command in sorted(set(TWO_KEY_READERS[first]) & set(TWO_KEY_READERS[second])):
+        pool = _pool_run(tmp_path, command, config)
+        if pool is not None:
+            n_configs, classes, workers = pool
+            assert n_configs <= 2 and classes <= 2 and workers <= 4
+        problems = _grid_row_problems(tmp_path, capsys, command, config)
+        if problems:
+            failures.append((command, problems))
+    assert not failures, config
+
+
+@pytest.mark.parametrize("f1_mhz, code", [("5e-324", 2), ("1e-6", 0), ("1e6", 0)])
+def test_drive_amplitude_keeps_the_rabi_frequency_positive(tmp_path, capsys, f1_mhz, code):
+    # at A = 1e6 MHz the 11-10 element is 0.158, and 2 f1 |<Sx>| at the
+    # smallest float rounded to 0: the pi time divided by zero
+    cfg = write_config(tmp_path, f"[donor]\nhyperfine_mhz = 1e6\n[rabi]\nf1_mhz = {f1_mhz}\n")
+    out = tmp_path / "out"
+    assert run_cli("rabi", "--config", cfg, "--out", str(out)) == code
+    if code == 2:
+        assert "rabi.f1_mhz" in capsys.readouterr().err and not out.exists()
+    else:
+        payload = json.loads((out / "rabi.json").read_text())
+        assert payload["rabi_mhz"] > 0 and math.isfinite(payload["pi_time_ns"])
+
+
 @pytest.mark.parametrize("command", ["levels", "freqmap"])
 def test_descending_field_range_is_usage_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path, f"[{command}]\nb_min_t = 0.5\nb_max_t = 0.1\n")
@@ -1240,6 +1327,26 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path, run):
     assert _loads(modules, "concurrent.futures", "multiprocessing") == pool
     # a pooled run does load the pool, so the serial runs' False means something
     assert ("concurrent.futures.process" in modules) == pool
+
+
+# the runs of IMPORT_CONTRACT that load the spectra (the commands that
+# search lines or read a matrix element) and those that load none
+SPECTRA_LOADED = {"resonances": True, "freqmap": True, "rabi": True, "levels": False,
+                  "print-config": False, "fit": False, "cce-nofit": False, "cce-fit": False,
+                  "cce-converge": False}
+
+
+@pytest.mark.parametrize("run", sorted(SPECTRA_LOADED))
+def test_only_the_line_commands_load_the_spectra(tmp_path, run):
+    # the config's defaults and its rabi rule read no spectra; resonances
+    # does load them, so the others' False means something
+    argv, config = IMPORT_CONTRACT[run][:2]
+    cfg = write_config(tmp_path, config)
+    proc = _python("-c", "import sys; from donorspin.cli.main import main; "
+                   "code = main(sys.argv[1:]); print(*sorted(sys.modules)); sys.exit(code)",
+                   *argv, "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert ("donorspin.spectra" in proc.stdout.splitlines()[-1].split()) == SPECTRA_LOADED[run]
 
 
 class _FullStdout(io.StringIO):
