@@ -15,8 +15,7 @@ from ..doublet import check_labels, level_table
 from ..spin import SpinSystem, si_bi
 from .couplings import KohnLuttingerModel, dipolar_b, superhyperfine_j
 from .echo import EchoCurve, _pair_products
-# SECOND_NN_FACTOR is imported from here as well as from lattice
-from .lattice import SECOND_NN_FACTOR, THIRD_NN_FACTOR, LatticeSpec
+from .lattice import THIRD_NN_FACTOR, LatticeSpec
 from .occupancy import BathConfiguration, _lattice_pairs, _within, in_cube, occupied_sites
 
 
@@ -134,12 +133,15 @@ def _pool_map(tasks: list, pool_size: int) -> list:
     there while it held a lock left a work queue locked, and the run hung.
     While the pool runs, SIGTERM is blocked in this thread and, up to their
     initializer, in the forked workers; in the main thread a handler that
-    only records it stands in for the caller's, because another thread (the
+    only records it stands in for the caller's disposition, usually the
+    default action (the CLI sets no handler), because another thread (the
     BLAS pool's) may take the signal and Python then runs the handler in
     the main thread. A SIGTERM pending or recorded, like a failed task,
     cancels the queued tasks and lets the running ones finish; the mask and
-    handler are then restored and the signal raised again. The pool's
-    modules load here, with SIGTERM held back, and only for a pooled run.
+    disposition are then restored and the signal raised again, so under the
+    default action the process dies by it only once its workers are down.
+    The pool's modules load here, with SIGTERM held back, and only for a
+    pooled run.
     """
     previous = signal.getsignal(signal.SIGTERM)
     stand_in = (threading.current_thread() is threading.main_thread()

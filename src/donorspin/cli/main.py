@@ -12,6 +12,11 @@ bit-exactly from its manifest alone.
 A handler imports the bath, fitting and spectra layers it calls when it
 runs, from the module that defines each name, so a command loads only
 the layers it runs.
+
+`main` serves the `donorspin` script, `python -m donorspin.cli` and
+in-process callers alike, and changes no process-wide state. A request
+to terminate keeps its default action and ends the process; a pooled
+run first stops its workers (`bath.ensemble._pool_map`).
 """
 
 from __future__ import annotations
@@ -22,9 +27,7 @@ import dataclasses
 import functools
 import json
 import os
-import signal
 import sys
-import threading
 import time
 from typing import Any, NamedTuple
 
@@ -32,7 +35,6 @@ import numpy as np
 
 from ..bath.lattice import PAIR_SHELLS, LatticeSpec
 from ..doublet import level_table
-from . import _terminated
 from .config import (
     FIT_MODELS,
     ConfigError,
@@ -337,19 +339,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command. In the main thread a SIGTERM ends the run as
-    `SystemExit(143)`, which stops its worker processes on the way out;
-    the previous handler is back when `main` returns."""
-    if threading.current_thread() is not threading.main_thread():
-        return _run(argv)
-    previous = signal.signal(signal.SIGTERM, _terminated)
-    try:
-        return _run(argv)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
-def _run(argv: list[str] | None) -> int:
+    """Run the command that argv (default: sys.argv) names; return its exit code."""
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)

@@ -27,7 +27,7 @@ from donorspin.bath import (
     superhyperfine_j,
 )
 from donorspin.bath import echo, ensemble
-from donorspin.bath.ensemble import SECOND_NN_FACTOR, THIRD_NN_FACTOR
+from donorspin.bath.lattice import SECOND_NN_FACTOR, THIRD_NN_FACTOR
 
 TIMES = tuple(np.linspace(0.0, 1.0, 21))
 
