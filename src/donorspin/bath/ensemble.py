@@ -119,29 +119,19 @@ def _config_curves(
     return dict(zip(masks, rows))
 
 
-def _start_worker() -> None:
-    """Pool worker set-up: die on SIGTERM, as the pool's terminate() expects,
-    rather than run a handler inherited by fork, and take it unblocked."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
 def _pool_map(tasks: list, pool_size: int) -> list:
     """[_config_curves(task) for task in tasks] on pool_size worker processes.
 
-    No SIGTERM handler may run inside the executor: a `SystemExit` raised
-    there while it held a lock left a work queue locked, and the run hung.
-    While the pool runs, SIGTERM is blocked in this thread and, up to their
-    initializer, in the forked workers; in the main thread a handler that
-    only records it stands in for the caller's disposition, usually the
-    default action (the CLI sets no handler), because another thread (the
-    BLAS pool's) may take the signal and Python then runs the handler in
-    the main thread. A SIGTERM pending or recorded, like a failed task,
-    cancels the queued tasks and lets the running ones finish; the mask and
-    disposition are then restored and the signal raised again, so under the
+    While the pool runs, a handler that only records SIGTERM stands in, in
+    the main thread, for the caller's disposition, usually the default
+    action (the CLI sets no handler): another thread (the BLAS pool's) may
+    take the signal, and Python then runs the handler in the main thread.
+    From their initializer on, the workers take it with its default action,
+    as the pool's terminate() expects. A recorded SIGTERM, like a failed
+    task, cancels the queued tasks and lets the running ones finish; the
+    disposition is then restored and the signal raised again, so under the
     default action the process dies by it only once its workers are down.
-    The pool's modules load here, with SIGTERM held back, and only for a
-    pooled run.
+    The pool's modules load here, and only for a pooled run.
     """
     previous = signal.getsignal(signal.SIGTERM)
     stand_in = (threading.current_thread() is threading.main_thread()
@@ -149,27 +139,24 @@ def _pool_map(tasks: list, pool_size: int) -> list:
     received = []
     if stand_in:
         signal.signal(signal.SIGTERM, lambda signum, frame: received.append(signum))
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
         from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
-        pool = ProcessPoolExecutor(max_workers=pool_size, initializer=_start_worker)
+        pool = ProcessPoolExecutor(max_workers=pool_size, initializer=signal.signal,
+                                   initargs=(signal.SIGTERM, signal.SIG_DFL))
         try:
             futures = [pool.submit(_config_curves, task) for task in tasks]
             pending = futures
             while pending and not received:
                 done, pending = wait(pending, timeout=0.05, return_when=FIRST_EXCEPTION)
-                if any(future.exception() is not None for future in done) or (
-                        stand_in and signal.SIGTERM in signal.sigpending()):
+                if any(future.exception() is not None for future in done):
                     break
         finally:
             pool.shutdown(cancel_futures=True)
     finally:
-        # a pending SIGTERM reaches the stand-in here; raised again, it wins
-        # over a pool the signal broke
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if stand_in:
             signal.signal(signal.SIGTERM, previous)
+        # raised again, a recorded SIGTERM wins over a pool the signal broke
         if received:
             signal.raise_signal(signal.SIGTERM)
     return [future.result() for future in futures]
@@ -224,9 +211,11 @@ def convergence_study(
     key's curves arrive in configuration order and its curve is their
     mean; it does not depend on the worker count. When a task fails or a
     signal ends the run, the running tasks finish and no queued task
-    starts. For each r_max the
-    distances tuple holds sup-norm differences between ensemble curves of
-    successive sides in the given order.
+    starts. A caller's SIGTERM handler runs once the pool is down; if it
+    returns rather than raises, the study raises the cancelled tasks'
+    `concurrent.futures.CancelledError`. For each r_max the distances
+    tuple holds sup-norm differences between ensemble curves of successive
+    sides in the given order.
     """
     if not side_list_nm or not r_max_list_nm:
         raise ValueError("side and cutoff lists must be non-empty")

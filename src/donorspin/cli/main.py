@@ -14,7 +14,8 @@ runs, from the module that defines each name, so a command loads only
 the layers it runs.
 
 `main` serves the `donorspin` script, `python -m donorspin.cli` and
-in-process callers alike, and changes no process-wide state. A request
+in-process callers alike, and changes no process-wide state, except that
+a stdout that fails is pointed at the null device (`_print`). A request
 to terminate keeps its default action and ends the process; a pooled
 run first stops its workers (`bath.ensemble._pool_map`).
 """
@@ -292,7 +293,9 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="donorspin",
         description="Donor spin levels, spectra, bath decoherence, and fits.",
@@ -330,12 +333,6 @@ def _print(text: str) -> None:
 
 def _unusable_out_dir(exc: OSError) -> ConfigError:
     return ConfigError(f"run.out_dir: cannot use {exc.filename!r}: {exc.strerror}")
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parsing leaves no state on it."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

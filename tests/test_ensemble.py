@@ -1,5 +1,6 @@
 """Ensemble averaging, seeding, and convergence bookkeeping."""
 
+import concurrent.futures
 import dataclasses
 import os
 import signal
@@ -343,4 +344,66 @@ def test_sigterm_reaches_the_callers_handler_once_the_pool_is_down(monkeypatch):
         assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
     finally:
         timer.cancel()
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_sigterm_ends_the_study_in_cancellation_when_the_callers_handler_returns(monkeypatch):
+    # a handler that returns lets the study go on to read its futures, and
+    # the queued tasks the signal cancelled end it; the handler runs once
+    monkeypatch.setattr(ensemble, "_config_curves", _sleeping_task)
+    calls = []
+
+    def record(signum, frame):
+        calls.append(signum)
+
+    previous = signal.signal(signal.SIGTERM, record)
+    timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGTERM))
+    try:
+        started = time.monotonic()
+        timer.start()
+        with pytest.raises(concurrent.futures.CancelledError):
+            convergence_study(_params(n_configs=200), [3.0], [0.4], workers=2)
+        assert time.monotonic() - started < 5.0
+        assert calls == [signal.SIGTERM]
+        assert signal.getsignal(signal.SIGTERM) is record
+        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    finally:
+        timer.cancel()
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _task_three_fails(task):
+    if task[1] == 3:
+        raise ValueError("task 3 failed")
+    time.sleep(0.1)
+    return {}
+
+
+def test_a_failed_task_ends_the_pool_and_restores_the_signal_state(monkeypatch):
+    # 200 tasks of 0.1 s on 2 workers take 10 s; task 3 fails, no queued
+    # task starts after it, and its error is the study's
+    monkeypatch.setattr(ensemble, "_config_curves", _task_three_fails)
+    disposition = signal.getsignal(signal.SIGTERM)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="task 3 failed"):
+        convergence_study(_params(n_configs=200), [3.0], [0.4], workers=2)
+    assert time.monotonic() - started < 5.0
+    assert signal.getsignal(signal.SIGTERM) is disposition
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+
+
+def _worker_sigterm_state(task):
+    return (signal.getsignal(signal.SIGTERM) is signal.SIG_DFL,
+            signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []))
+
+
+def test_pool_workers_take_sigterm_with_its_default_action(monkeypatch):
+    # whatever handler the caller set, a worker that gets its own SIGTERM
+    # dies by it, as the pool's terminate() expects
+    monkeypatch.setattr(ensemble, "_config_curves", _worker_sigterm_state)
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        assert ensemble._pool_map(list(range(4)), 2) == [(True, False)] * 4
+    finally:
         signal.signal(signal.SIGTERM, previous)
