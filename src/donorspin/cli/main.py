@@ -5,9 +5,11 @@ A handler `cmd_*` maps the validated config to a `CommandResult`: its
 outputs by file name, the manifest extras and the exit code. It writes
 nothing itself. `main` makes `run.out_dir` before the handler runs and,
 once it returns, writes the outputs in order and the manifest last, so
-a command that fails leaves no output behind. Manifests echo the fully
-resolved config plus per-output checksums, so a run can be reproduced
-bit-exactly from its manifest alone.
+a command that fails leaves no output behind. A manifest echoes the
+resolved config and the sha256 of each output as written, from which a
+run of `levels`, `resonances`, `freqmap`, `cce`, `cce-converge` or
+`rabi` without `input_csv` can be reproduced bit-exactly; for `fit` and
+`rabi` with `input_csv` it records the input CSV's path, not its bytes.
 
 A handler imports the bath, fitting and spectra layers it calls when it
 runs, from the module that defines each name, so a command loads only
@@ -26,6 +28,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -68,25 +71,30 @@ _ECHO_HEADER = ["time_ms", "amplitude", "std_of_mean"]
 _CSV_BLOCK_CELLS = 4096
 
 
-def _write(path: str, content: Any) -> None:
-    """Write one output or manifest. CSV cells are the repr of the
-    columns' `.tolist()` Python ints and floats, formatted a column at a
-    time over blocks of rows; a float's repr is the shortest digits that
-    round-trip its bits."""
-    with open(path, "w", newline="") as fh:
+def _write(path: str, content: Any) -> str:
+    """Write one output or manifest; return the sha256 of its bytes.
+    CSV cells are the repr of the columns' `.tolist()` Python ints and
+    floats, formatted a column at a time over blocks of rows; a float's
+    repr is the shortest digits that round-trip its bits."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text: str) -> None:
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
         if path.endswith(".csv"):
             header, columns = content
-            fh.write(",".join(header) + "\n")
+            put(",".join(header) + "\n")
             n_rows = min(map(len, columns))
             block_rows = max(1, _CSV_BLOCK_CELLS // len(columns))
             for start in range(0, n_rows, block_rows):
                 block = slice(start, start + block_rows)
                 cells = (map(repr, column[block].tolist()) for column in columns)
-                fh.write("\n".join(map(",".join, zip(*cells))))
-                fh.write("\n")
+                # the block's rows, each ending in a newline
+                put("\n".join([*map(",".join, zip(*cells)), ""]))
         else:
-            json.dump(json_ready(content), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            put(json.dumps(json_ready(content), indent=2, sort_keys=True) + "\n")
+    return digest.hexdigest()
 
 
 def _fit_result_payload(result) -> dict[str, Any]:
@@ -359,11 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise _unusable_out_dir(exc) from None
         result = _COMMANDS[args.command](config)
-        paths = [os.path.join(out_dir, name) for name in result.outputs]
         try:
-            for path, content in zip(paths, result.outputs.values()):
-                _write(path, content)
-            manifest = build_manifest(args.command, config, started, paths, result.extra)
+            digests = {name: _write(os.path.join(out_dir, name), content)
+                       for name, content in result.outputs.items()}
+            manifest = build_manifest(args.command, config, started, digests, result.extra)
             _write(os.path.join(out_dir, f"{args.command}_manifest.json"), manifest)
         except OSError as exc:
             raise _unusable_out_dir(exc) from None

@@ -3,7 +3,6 @@ the software and machine the run used."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import sys
@@ -14,14 +13,6 @@ import numpy as np
 
 from .. import __version__
 from ..constants import CONSTANTS
-
-
-def file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def json_ready(obj: Any) -> Any:
@@ -42,18 +33,19 @@ def build_manifest(
     command: str,
     config: dict[str, dict[str, Any]],
     started: float,
-    output_paths: list[str],
+    digests: dict[str, str],
     extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """The manifest of a run that began at `time.monotonic()` = `started`
-    and wrote `output_paths`; its wall time runs up to this call."""
+    and wrote the outputs whose sha256 `digests` maps by file name; its
+    wall time runs up to this call. The writer makes it JSON-safe."""
     manifest = {
         "command": command,
         "version": __version__,
         "constants_hash": CONSTANTS.hash(),
-        "config": json_ready(config),
+        "config": config,
         "wall_time_s": time.monotonic() - started,
-        "outputs": {os.path.basename(p): file_sha256(p) for p in output_paths},
+        "outputs": digests,
         "environment": {
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
@@ -61,6 +53,6 @@ def build_manifest(
         },
     }
     if extra:
-        manifest.update(json_ready(extra))
+        manifest.update(extra)
     return manifest
 

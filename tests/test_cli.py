@@ -4,6 +4,8 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import functools
+import hashlib
 import importlib
 import inspect
 import io
@@ -50,7 +52,7 @@ from donorspin.cli.config import (
     validate,
 )
 from donorspin.cli.main import _COMMANDS, _CSV_BLOCK_CELLS, _write, main
-from donorspin.cli.manifest import file_sha256
+from donorspin.cli.manifest import json_ready
 from donorspin.spectra import _adjacent_pairs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -123,7 +125,8 @@ def test_levels_csv_schema_and_concurrences(tmp_path):
     assert abs(concurrences[9]) < 1e-9 and abs(concurrences[19]) < 1e-9
     assert sum(c >= 0.999 for c in concurrences) == 2
     manifest = json.loads((tmp_path / "levels_manifest.json").read_text())
-    assert manifest["outputs"]["levels.csv"] == file_sha256(str(tmp_path / "levels.csv"))
+    want = hashlib.sha256((tmp_path / "levels.csv").read_bytes()).hexdigest()
+    assert manifest["outputs"]["levels.csv"] == want
     assert manifest["config"]["levels"]["b_steps"] == 1
 
 
@@ -274,17 +277,32 @@ def test_zero_row_csv_is_its_header_alone(tmp_path):
 
 
 # three columns: a block holds _CSV_BLOCK_CELLS // 3 rows
-@pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_CELLS // 3, 2 * (_CSV_BLOCK_CELLS // 3) + 3])
+_BLOCK_ROWS = _CSV_BLOCK_CELLS // 3
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                    2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3])
 def test_csv_blocks_write_the_row_by_row_bytes(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     columns = (rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows),
                rng.integers(-5, 30, n_rows), np.linspace(0.0, 1.0, n_rows))
-    path = str(tmp_path / "table.csv")
-    _write(path, (["x", "label", "t"], columns))
+    path = tmp_path / "table.csv"
+    digest = _write(str(path), (["x", "label", "t"], columns))
     rows = zip(*(column.tolist() for column in columns))
     want = "x,label,t\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    with open(path, newline="") as fh:
-        assert fh.read() == want
+    written = path.read_bytes()
+    assert written == want.encode()
+    assert digest == hashlib.sha256(written).hexdigest()
+
+
+def test_json_output_is_the_converted_payload_and_its_digest(tmp_path):
+    payload = {"inf": math.inf, "nan": [math.nan, -math.inf], "scalar": np.float64(0.1),
+               "tuple": (1, np.int64(2), "x"), 3: {"nested": np.array(7)}}
+    path = tmp_path / "payload.json"
+    digest = _write(str(path), payload)
+    written = path.read_bytes()
+    assert written == (json.dumps(json_ready(payload), indent=2, sort_keys=True) + "\n").encode()
+    assert digest == hashlib.sha256(written).hexdigest()
 
 
 def test_reused_parser_keeps_no_flag_between_calls(tmp_path):
@@ -496,7 +514,47 @@ def test_manifest_lists_exactly_the_written_files(tmp_path, command):
     written = {p.name for p in out.iterdir()} - {manifest_name}
     assert written and set(manifest["outputs"]) == written
     for name, digest in manifest["outputs"].items():
-        assert digest == file_sha256(str(out / name))
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+# the opens of paths under a watched directory; an audit hook cannot be
+# removed, so the one hook is installed on first use and records nothing
+# while no test watches
+_WATCHED_OPENS: list[tuple[str, list[tuple[str, int]]]] = []
+
+
+def _record_open(event, args):
+    if event == "open" and _WATCHED_OPENS and isinstance(args[0], str):
+        directory, opens = _WATCHED_OPENS[-1]
+        if args[0].startswith(directory + os.sep):
+            opens.append((args[0], args[2]))
+
+
+@functools.cache
+def _install_open_hook() -> None:
+    sys.addaudithook(_record_open)
+
+
+@contextlib.contextmanager
+def _opens_under(directory: str):
+    """Record (path, flags) of every file opened under directory."""
+    _install_open_hook()
+    opens = []
+    _WATCHED_OPENS.append((directory, opens))
+    try:
+        yield opens
+    finally:
+        _WATCHED_OPENS.pop()
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_RUNS))
+def test_outputs_are_opened_once_each_and_only_to_write(tmp_path, command):
+    cfg = write_config(tmp_path, OUTPUT_RUNS[command])
+    out = tmp_path / "out"
+    with _opens_under(str(out)) as opens:
+        assert run_cli(command, "--config", cfg, "--out", str(out)) in (0, 1)
+    assert all(flags & os.O_ACCMODE == os.O_WRONLY for _, flags in opens), opens
+    assert sorted(path for path, _ in opens) == sorted(map(str, out.iterdir()))
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_RUNS))
